@@ -8,7 +8,7 @@ its head, which is what the intra-cluster messaging rule relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .detection import DetectionAgent
 from .model import Status
@@ -18,13 +18,18 @@ from .model import Status
 class Topology:
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
+    _adjacency: dict[int, set[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
             if a not in self.nodes or b not in self.nodes:
                 raise ValueError(f"edge ({a}, {b}) references an unknown node")
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     @staticmethod
     def build(nodes, edges) -> "Topology":
@@ -32,13 +37,8 @@ class Topology:
         return Topology(frozenset(nodes), norm)
 
     def neighbors(self, node: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == node:
-                out.add(b)
-            elif b == node:
-                out.add(a)
-        return out
+        """A fresh set of the node's neighbours; empty for an unknown node."""
+        return set(self._adjacency.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,40 @@ class Cluster:
         return self.members | {self.head}
 
 
+def _election_key(node: int, energies) -> tuple[int, int]:
+    """Sort key that puts the most energy first, ties to the lowest id."""
+    return (-energies[node], node)
+
+
 def elect_head(candidates, energies) -> int:
-    """Candidate with maximal energy; ties broken by lowest id."""
+    """Candidate with maximal energy; ties broken by lowest id.
+
+    One election on its own. ``form_clusters`` sorts once by the same rule
+    instead of calling this for every head.
+    """
     if not candidates:
         raise ValueError("cannot elect a head from no candidates")
-    return max(sorted(candidates), key=lambda n: (energies[n], -n))
+    return min(candidates, key=lambda n: _election_key(n, energies))
 
 
 def form_clusters(topology: Topology, energies: dict[int, int]) -> list[Cluster]:
     """Partition all nodes into clusters; isolated nodes become singletons.
 
-    Returned in election order, which is deterministic for a given
-    (topology, energies) pair.
+    Energies do not change during a sweep, so the nodes are sorted once by
+    ``elect_head``'s rule (most energy first, ties to the lowest id) and
+    each node still unassigned when its turn comes becomes a head. That
+    elects the same heads, in the same order, as calling ``elect_head`` on
+    the unassigned nodes again and again, in O(N log N + E). Returned in
+    election order, which is deterministic for a given (topology, energies)
+    pair.
     """
     if not topology.nodes:
         raise ValueError("topology is empty")
     unassigned = set(topology.nodes)
     clusters = []
-    while unassigned:
-        head = elect_head(unassigned, energies)
+    for head in sorted(topology.nodes, key=lambda n: _election_key(n, energies)):
+        if head not in unassigned:
+            continue
         unassigned.discard(head)
         members = frozenset(topology.neighbors(head) & unassigned)
         unassigned -= members

@@ -10,6 +10,7 @@ non-normal verdict and otherwise file periodic reports.
 
 from __future__ import annotations
 
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,6 +51,10 @@ class KnowledgeBase:
     window ticks of idle cost, the per-request cost of everything served,
     plus a fixed per-window allowance for the node's routine protocol
     messages (reports out of members, reports/directives through heads).
+
+    ``baseline`` is read once, at construction, into a per-node index of
+    capacities; nothing in the simulator changes it afterwards, and a caller
+    that does must build a new KnowledgeBase.
     """
 
     baseline: dict[tuple[int, Service], int]
@@ -58,8 +63,19 @@ class KnowledgeBase:
     msg_budget: dict[int, int] = field(default_factory=dict)
     energy_tolerance: float = 0.10
 
-    def nodes(self) -> set[int]:
-        return {node for node, _ in self.baseline}
+    def __post_init__(self) -> None:
+        # node -> {service: capacity}, services in sorted order
+        self._capacities: dict[int, dict[Service, int]] = {}
+        for (node, svc), cap in sorted(self.baseline.items(), key=lambda kv: kv[0][1]):
+            self._capacities.setdefault(node, {})[svc] = cap
+
+    def nodes(self) -> KeysView[int]:
+        """The nodes with at least one baseline, as a read-only view."""
+        return self._capacities.keys()
+
+    def capacities(self, node: int) -> dict[Service, int]:
+        """A copy of the node's baselines, keyed in sorted service order."""
+        return dict(self._capacities.get(node, {}))
 
     def baseline_for(self, node: int, service: Service) -> int:
         return self.baseline[(node, service)]

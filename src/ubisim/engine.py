@@ -86,11 +86,7 @@ class _Controller:
 
     def __init__(self, head: int, nodes, kb):
         self.head = head
-        services = sorted({svc for (_n, svc) in kb.baseline})
-        entries = {}
-        for n in sorted(nodes):
-            caps = {svc: kb.baseline[(n, svc)] for svc in services if (n, svc) in kb.baseline}
-            entries[n] = ViewEntry(node=n, capacities=caps)
+        entries = {n: ViewEntry(node=n, capacities=kb.capacities(n)) for n in sorted(nodes)}
         self.view = ClusterView(head=head, entries=entries)
         self.planned: set[tuple[int, int]] = set()
 
@@ -311,8 +307,7 @@ class Engine:
                 ratios.append(Fraction(loads.get(n, 0), cap))
         if not ratios:
             return Fraction(1)
-        value = metrics.jain_index(ratios)
-        return value if isinstance(value, Fraction) else Fraction(1)
+        return metrics.jain_index(ratios)
 
     # -- depletion / re-formation --
 

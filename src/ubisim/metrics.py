@@ -19,9 +19,9 @@ def jain_index(values):
     """Fairness of a list of non-negative ratios: (sum x)^2 / (n * sum x^2).
 
     Lies in [1/n, 1] and equals 1 iff all entries are equal. An all-zero
-    list is perfectly balanced nothing and reports 1.0 by convention.
-    Fraction inputs stay exact; numeric types otherwise follow Python
-    arithmetic.
+    list is perfectly balanced nothing and reports 1 by convention. The
+    result always has the type a true division of the inputs gives:
+    Fraction inputs stay exact, floats and ints give a float.
     """
     if not values:
         raise ValueError("jain_index needs at least one value")
@@ -29,7 +29,8 @@ def jain_index(values):
         raise ValueError("jain_index values must be non-negative")
     total = sum(values)
     if total == 0:
-        return 1.0
+        one = total + 1
+        return one / one
     squares = sum(v * v for v in values)
     return (total * total) / (len(values) * squares)
 

@@ -95,6 +95,63 @@ class TestFormClusters:
                 assert (min(m, c.head), max(m, c.head)) in edge_set
 
 
+@st.composite
+def graphs_with_tied_energies(draw):
+    """A random graph over ids 0..n-1 and energies drawn from a few values."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    levels = draw(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=3))
+    energies = {i: draw(st.sampled_from(levels)) for i in range(n)}
+    return Topology.build(set(range(n)), edges), energies
+
+
+def reference_clusters(topology, energies):
+    """The sweep written as repeated elections over the unassigned nodes."""
+    unassigned = set(topology.nodes)
+    clusters = []
+    while unassigned:
+        head = elect_head(unassigned, energies)
+        unassigned.discard(head)
+        members = frozenset(topology.neighbors(head) & unassigned)
+        unassigned -= members
+        clusters.append(Cluster(head, members))
+    return clusters
+
+
+class TestSweepEquivalence:
+    @given(graphs_with_tied_energies())
+    @settings(deadline=None, max_examples=150)
+    def test_form_clusters_equals_repeated_election(self, graph):
+        topo, energies = graph
+        assert form_clusters(topo, energies) == reference_clusters(topo, energies)
+
+    @given(graphs_with_tied_energies())
+    @settings(deadline=None, max_examples=100)
+    def test_neighbors_equals_edge_scan(self, graph):
+        topo, _energies = graph
+        for node in topo.nodes:
+            scanned = {b for a, b in topo.edges if a == node}
+            scanned |= {a for a, b in topo.edges if b == node}
+            assert topo.neighbors(node) == scanned
+
+    @given(graphs_with_tied_energies())
+    @settings(deadline=None, max_examples=50)
+    def test_neighbors_returns_a_copy(self, graph):
+        topo, energies = graph
+        before = {n: topo.neighbors(n) for n in topo.nodes}
+        clusters = form_clusters(topo, energies)
+        for node in topo.nodes:
+            topo.neighbors(node).add(-1)
+            topo.neighbors(node).clear()
+        assert {n: topo.neighbors(n) for n in topo.nodes} == before
+        assert form_clusters(topo, energies) == clusters
+
+    def test_neighbors_of_unknown_node_is_empty(self):
+        assert Topology.build({0, 1}, [(0, 1)]).neighbors(5) == set()
+
+
 class TestTopology:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):

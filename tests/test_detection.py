@@ -168,6 +168,46 @@ class TestControlCompare:
         assert not bad.all_normal
 
 
+class TestKnowledgeBaseIndex:
+    """A KnowledgeBase built straight from a baseline dict, as the tests do."""
+
+    BASELINE = {
+        (0, "Print"): 34, (0, "View"): 123,
+        (2, "View"): 7,
+        (5, "Scan"): 8, (5, "Print"): 3, (5, "View"): 0,
+    }
+
+    def _kb(self):
+        return KnowledgeBase(baseline=dict(self.BASELINE), params=EnergyParams(), window=10)
+
+    def test_unknown_node_still_raises(self):
+        kb = self._kb()
+        for node in (1, 3, 4, 6, -1):
+            with pytest.raises(UnknownNode):
+                control_compare(BehaviorSample(node, 1, {}, 0), kb)
+
+    def test_known_nodes_match_baseline_oracle(self):
+        kb = self._kb()
+        for node in (0, 2, 5):
+            services = sorted(svc for n, svc in self.BASELINE if n == node)
+            for loads in itertools.product(range(0, 40, 3), repeat=len(services)):
+                observed = dict(zip(services, loads))
+                verdict = control_compare(BehaviorSample(node, 1, observed, 0), kb)
+                expected = {}
+                for svc, load in observed.items():
+                    base = self.BASELINE[(node, svc)]
+                    expected[svc] = Overload(load, base) if load > base else None
+                assert verdict.per_service == expected
+
+    def test_index_holds_each_node_once_in_sorted_service_order(self):
+        kb = self._kb()
+        assert set(kb.nodes()) == {0, 2, 5}
+        assert list(kb.capacities(5)) == ["Print", "Scan", "View"]
+        assert kb.capacities(1) == {}
+        kb.capacities(0)["Print"] = 999  # a copy: the index is unchanged
+        assert kb.capacities(0) == {"Print": 34, "View": 123}
+
+
 class TestReportAlert:
     def _engine(self):
         return Engine(load_bundled_scenario())

@@ -39,6 +39,19 @@ class TestJainIndex:
     def test_all_zero_convention(self):
         assert jain_index([0, 0, 0]) == 1.0
 
+    @pytest.mark.parametrize(
+        "zeros, nonzero, kind",
+        [
+            ([Fraction(0), Fraction(0)], [Fraction(1, 2), Fraction(1, 4)], Fraction),
+            ([0.0, 0.0], [0.5, 0.25], float),
+            ([0, 0], [2, 1], float),
+        ],
+    )
+    def test_one_result_type_per_input_type(self, zeros, nonzero, kind):
+        assert type(jain_index(zeros)) is kind
+        assert type(jain_index(nonzero)) is kind
+        assert jain_index(zeros) == 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             jain_index([])
