@@ -138,7 +138,7 @@ def reform_cluster(sim, old_head: int) -> list[Cluster]:
                 if nb in nodes:
                     edges.add((min(m, nb), max(m, nb)))
         sub = Topology.build(nodes, edges)
-        energies = {m: sim.devices[m].energy_mj for m in running}
+        energies = {m: sim.energy(m) for m in running}
         new_clusters = form_clusters(sub, energies)
     new_clusters.append(Cluster(old_head))
     sim.install_clusters(new_clusters)

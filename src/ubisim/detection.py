@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import KeysView
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .model import EnergyParams, Service, SimulationError, Status
 from .simkernel import Unreachable
@@ -104,8 +105,9 @@ class DetectionVerdict:
     per_service: dict[Service, Overload | None]  # None = normal
     energy_anomaly: EnergyAnomaly | None = None
 
-    @property
+    @cached_property
     def overloaded(self) -> dict[Service, Overload]:
+        """The overloaded services, computed once; callers must not mutate it."""
         return {s: o for s, o in self.per_service.items() if o is not None}
 
     @property

@@ -62,11 +62,17 @@ class EnergyParams:
 
 @dataclass
 class Activity:
-    """One tick's billable activity for a single device."""
+    """A device's billable activity over a span of ``ticks`` ticks.
+
+    The idle draw is charged once per tick of the span; the served requests
+    and messages are charged once, as they all fall on the span's last tick.
+    A span of one tick (the default) is a single tick's activity.
+    """
 
     requests_served: dict[Service, int] = field(default_factory=dict)
     msgs_tx: int = 0
     msgs_rx: int = 0
+    ticks: int = 1
 
     def add_served(self, service: Service, count: int) -> None:
         self.requests_served[service] = self.requests_served.get(service, 0) + count
@@ -77,8 +83,7 @@ class DeviceState:
     """A node's identity, links, battery, capacities, and current load.
 
     ``load`` holds the requests currently assigned for the window in
-    progress; ``window_log`` archives the served counts of every completed
-    window (appended by :func:`reset_window`).
+    progress.
     """
 
     id: int
@@ -88,7 +93,6 @@ class DeviceState:
     load: dict[Service, int] = field(default_factory=dict)
     role: Role = Role.MEMBER
     status: Status = Status.RUNNING
-    window_log: list[dict[Service, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.id < 0:
@@ -122,8 +126,8 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
 
 
 def energy_delta(activity: Activity, params: EnergyParams) -> int:
-    """Millijoules one tick of ``activity`` costs under ``params``."""
-    delta = params.idle_per_tick
+    """Millijoules ``activity`` costs under ``params``, idle span included."""
+    delta = params.idle_per_tick * activity.ticks
     for svc, count in activity.requests_served.items():
         delta += params.request_cost(svc) * count
     delta += params.tx_per_msg * activity.msgs_tx
@@ -132,7 +136,7 @@ def energy_delta(activity: Activity, params: EnergyParams) -> int:
 
 
 def consume_energy(device: DeviceState, activity: Activity, params: EnergyParams) -> int:
-    """Debit one tick's activity from the device battery.
+    """Debit ``activity`` from the device battery.
 
     Returns the amount actually debited, which is the full activity cost
     unless the battery saturates first. A device that reaches zero charge
@@ -148,12 +152,8 @@ def consume_energy(device: DeviceState, activity: Activity, params: EnergyParams
 
 
 def reset_window(device: DeviceState) -> dict[Service, int]:
-    """Archive the window's served counts to the window log and zero the load.
-
-    Returns the archived sample.
-    """
+    """Zero the device's load; returns the window's served counts."""
     archived = dict(device.load)
-    device.window_log.append(archived)
     for svc in device.load:
         device.load[svc] = 0
     return archived

@@ -6,12 +6,17 @@ single-threaded; identical (scenario, seed) pairs replay to byte-identical
 traces because every stochastic choice draws from the kernel's single seeded
 generator in dispatch order and every iteration over devices is id-sorted.
 
-Energy accounting: each device is billed exactly once per elapsed tick
-(idle cost plus whatever activity accumulated at that tick). Billing is
-lazy — ticks are settled when the clock first moves past them — and at the
-last tick of every measurement window each running device is additionally
-billed for serving its current load, which is also recorded as the window's
-served sample.
+Energy accounting is event-driven. Every device records the last tick it
+was billed through, and is billed only at a tick where it sends or receives
+a message, at the last tick of every measurement window (where each running
+device also pays for serving its current load, which is recorded as the
+window's served sample), and at the tick its idle draw alone empties its
+battery. Each bill charges the idle cost of every tick skipped since the
+last one in the same ``consume_energy`` call, which debits exactly what
+billing every tick would have: a skipped span cannot empty the battery
+before its last tick. Ticks are settled when the clock first moves past
+them; within a tick, devices are billed in id order, so ``depleted`` lines
+and the ``on_depleted`` hook keep their place in the trace.
 """
 
 from __future__ import annotations
@@ -240,8 +245,14 @@ class Simulation:
                 self.demand[d.id][s] = n
         self.clusters: dict[int, set[int]] = {}
         self.head_of: dict[int, int] = {}
-        self._buckets: dict[int, dict[int, Activity]] = {}
+        # event-driven billing state; see the module docstring
+        self._ids = sorted(self.devices)
+        self._billed: dict[int, int] = dict.fromkeys(self._ids, -1)
+        self._activity: dict[int, Activity] = {}  # tick ``clock``'s, unbilled
+        self._depletions: list[tuple[int, int]] = []  # heap of (tick, node)
         self._flushed_through = -1
+        self._cursor: Optional[int] = None  # node being billed mid-tick
+        self._queue_depletions(self._ids, -1)
         self.window_acc: dict[int, int] = {d.id: 0 for d in devices}
         self.served_snapshot: dict[int, dict[Service, int]] = {}
         self.log.initial_energy = {d.id: d.energy_mj for d in devices}
@@ -287,6 +298,7 @@ class Simulation:
         ev = self.queue.pop()
         if ev.time > self.clock:
             self._flush_through(ev.time - 1)
+            self._activity = {}  # an unbilled tick left is past the horizon or settled
             self.clock = ev.time
         self.log.processed.append((ev.time, ev.seq))
         self._emit_event(ev)
@@ -303,9 +315,7 @@ class Simulation:
                 break
             self.step()
         self._flush_through(min(t_end, self.horizon) - 1)
-        self.log.final_energy = {
-            nid: self.devices[nid].energy_mj for nid in sorted(self.devices)
-        }
+        self.log.final_energy = {nid: self.energy(nid) for nid in self._ids}
         return self.log
 
     # -- messaging --
@@ -371,40 +381,111 @@ class Simulation:
     # -- energy accounting --
 
     def _bucket(self, node: int) -> Activity:
-        tick_bucket = self._buckets.setdefault(self.clock, {})
-        act = tick_bucket.get(node)
+        act = self._activity.get(node)
         if act is None:
-            act = tick_bucket[node] = Activity()
+            act = self._activity[node] = Activity()
         return act
 
+    def energy(self, node: int) -> int:
+        """The node's charge as billing every tick would leave it now.
+
+        Between events every device is settled through the tick before the
+        clock. While a tick is being billed, nodes with a lower id than the
+        one being billed are settled through that tick and the others
+        through the tick before. Settling bills idle ticks only, which
+        cannot empty the battery: an idle depletion is billed at its tick.
+        """
+        dev = self.devices[node]
+        through = self._flushed_through
+        if self._cursor is not None and node < self._cursor:
+            through += 1
+        if dev.status is not Status.DEPLETED and self._billed[node] < through:
+            self._bill(dev, Activity(), through)
+        return dev.energy_mj
+
+    def _bill(self, dev: DeviceState, act: Activity, tick: int) -> None:
+        """Charge ``act`` plus the idle ticks since the last bill, through ``tick``."""
+        act.ticks = tick - self._billed[dev.id]
+        debit = consume_energy(dev, act, self.params)
+        self._billed[dev.id] = tick
+        self.log.total_debited += debit
+        self.window_acc[dev.id] += debit
+
     def _flush_through(self, t: int) -> None:
-        """Bill every device for each tick up to ``t`` (bounded by horizon)."""
+        """Settle every tick up to ``t`` (bounded by horizon).
+
+        Only ticks where some device must be billed are visited: the open
+        tick's activity, the last tick of each window and projected idle
+        depletions, whichever comes first.
+        """
         t = min(t, self.horizon - 1)
-        while self._flushed_through < t:
-            tt = self._flushed_through + 1
-            tick_bucket = self._buckets.pop(tt, {})
-            window_last = (tt + 1) % self.window == 0
-            for nid in sorted(self.devices):
-                dev = self.devices[nid]
-                if dev.status is Status.DEPLETED:
-                    continue
-                act = tick_bucket.get(nid, Activity())
-                if window_last:
-                    if dev.status is Status.RUNNING:
-                        served = dict(dev.load)
-                        for s, c in served.items():
-                            if c:
-                                act.add_served(s, c)
-                    else:  # quiesced devices serve nothing
-                        served = {s: 0 for s in dev.load}
-                    self.served_snapshot[nid] = served
-                debit = consume_energy(dev, act, self.params)
-                self.log.total_debited += debit
-                self.window_acc[nid] += debit
-                if dev.status is Status.DEPLETED:
-                    self.emit(tt, nid, "depleted", "")
-                    self.on_depleted(nid)
-            self._flushed_through = tt
+        while True:
+            done = self._flushed_through
+            tt = self._window_last_after(done)
+            if self._activity and done < self.clock < tt:
+                tt = self.clock
+            if self._depletions and self._depletions[0][0] < tt:
+                tt = self._depletions[0][0]
+            if tt > t:
+                break
+            self._bill_tick(tt)
+        self._flushed_through = max(self._flushed_through, t)
+
+    def _window_last_after(self, t: int) -> int:
+        """The first tick after ``t`` that ends a measurement window."""
+        return (t + 1) // self.window * self.window + self.window - 1
+
+    def _queue_depletions(self, nodes, tick: int) -> None:
+        """Queue the tick idle draw alone empties each of ``nodes``.
+
+        The nodes are billed through ``tick``. Only a depletion before the
+        next window's last tick is queued; a later one is found when that
+        tick bills the device.
+        """
+        idle = self.params.idle_per_tick
+        if idle <= 0:
+            return
+        before = min(self._window_last_after(tick), self.horizon)
+        for nid in nodes:
+            dev = self.devices[nid]
+            if dev.status is not Status.DEPLETED:
+                dies = tick - (-dev.energy_mj // idle)
+                if dies < before:
+                    heapq.heappush(self._depletions, (dies, nid))
+
+    def _bill_tick(self, tt: int) -> None:
+        """Bill, in id order, every device that must be billed at ``tt``."""
+        self._flushed_through = tt - 1
+        acts: dict[int, Activity] = {}
+        if tt == self.clock:
+            acts, self._activity = self._activity, {}
+        due = set(acts)
+        while self._depletions and self._depletions[0][0] == tt:
+            due.add(heapq.heappop(self._depletions)[1])
+        window_last = (tt + 1) % self.window == 0
+        billed = self._ids if window_last else sorted(due)
+        for nid in billed:
+            dev = self.devices[nid]
+            if dev.status is Status.DEPLETED:
+                continue
+            act = acts.get(nid) or Activity()
+            if window_last:
+                if dev.status is Status.RUNNING:
+                    served = dict(dev.load)
+                    for s, c in served.items():
+                        if c:
+                            act.add_served(s, c)
+                else:  # quiesced devices serve nothing
+                    served = {s: 0 for s in dev.load}
+                self.served_snapshot[nid] = served
+            self._cursor = nid
+            self._bill(dev, act, tt)
+            if dev.status is Status.DEPLETED:
+                self.emit(tt, nid, "depleted", "")
+                self.on_depleted(nid)
+        self._cursor = None
+        self._flushed_through = tt
+        self._queue_depletions(billed, tt)
 
     # -- dispatch --
 
@@ -460,7 +541,7 @@ class Simulation:
 
     def _close_window(self, window: int) -> None:
         """Archive served samples, roll energy accumulators, reseed demand."""
-        for nid in sorted(self.devices):
+        for nid in self._ids:
             dev = self.devices[nid]
             self.log.window_energy[nid].append(self.window_acc[nid])
             self.log.window_served[nid].append(dict(self.served_snapshot.get(nid, {})))

@@ -122,6 +122,14 @@ class TestControlCompare:
             assert o == Overload(TABLE_OVERLOADS[svc], TABLE_BASELINES[svc])
         assert verdict.energy_anomaly is None
 
+    def test_overloaded_is_computed_once(self):
+        kb = simple_kb()
+        verdict = control_compare(sample_for(TABLE_OVERLOADS), kb)
+        fresh = control_compare(sample_for(TABLE_OVERLOADS), kb)
+        assert verdict.overloaded is verdict.overloaded
+        # the cached value is not a field: equality and repr ignore it
+        assert verdict == fresh and repr(verdict) == repr(fresh)
+
     def test_boundary_at_baseline_is_normal(self):
         kb = simple_kb()
         verdict = control_compare(sample_for({"Print": 34}), kb)

@@ -212,6 +212,5 @@ def test_window_boundary_resets_and_reseeds():
     sim.schedule(3, 1, Arrival(1, "Print", 4))
     sim.run_until(20)
     # served snapshot archived, load reseeded from standing demand
-    assert sim.devices[1].window_log[-1] == {"Print": 4}
+    assert sim.log.window_served[1] == [{"Print": 4}]
     assert sim.devices[1].load["Print"] == 4
-    assert sim.log.window_served[1][0] == {"Print": 4}
