@@ -18,12 +18,10 @@ from .model import (
     Activity,
     DeviceState,
     EnergyParams,
-    Role,
     Service,
     Status,
     apply_requests,
     consume_energy,
-    reset_window,
 )
 from .reconfig import (
     ClusterView,

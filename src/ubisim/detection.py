@@ -4,23 +4,20 @@ Per-node agents capture one BehaviorSample per measurement window and a pure
 comparison turns it into a DetectionVerdict: a service is overloaded iff its
 observed load strictly exceeds the baseline capacity, and the energy draw is
 anomalous iff it exceeds the load-explained expectation by more than the
-configured tolerance. Agents alert their cluster-head controller on any
-non-normal verdict and otherwise file periodic reports.
+configured tolerance, both decided in exact integer arithmetic. Agents
+alert their cluster-head controller on any non-normal verdict and otherwise
+file periodic reports.
 """
 
 from __future__ import annotations
 
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 from .model import EnergyParams, Service, SimulationError, Status
 from .simkernel import Unreachable
-
-
-class MissingCapacity(SimulationError):
-    """A node offers a service with no capacity configured anywhere."""
 
 
 class UnknownNode(SimulationError):
@@ -54,8 +51,9 @@ class KnowledgeBase:
     messages (reports out of members, reports/directives through heads).
 
     ``baseline`` is read once, at construction, into a per-node index of
-    capacities; nothing in the simulator changes it afterwards, and a caller
-    that does must build a new KnowledgeBase.
+    capacities, and ``energy_tolerance`` into the exact fraction its decimal
+    literal names; nothing in the simulator changes either afterwards, and a
+    caller that does must build a new KnowledgeBase.
     """
 
     baseline: dict[tuple[int, Service], int]
@@ -69,6 +67,7 @@ class KnowledgeBase:
         self._capacities: dict[int, dict[Service, int]] = {}
         for (node, svc), cap in sorted(self.baseline.items(), key=lambda kv: kv[0][1]):
             self._capacities.setdefault(node, {})[svc] = cap
+        self._tolerance = Fraction(str(self.energy_tolerance))
 
     def nodes(self) -> KeysView[int]:
         """The nodes with at least one baseline, as a read-only view."""
@@ -115,17 +114,10 @@ class DetectionVerdict:
         return not self.overloaded and self.energy_anomaly is None
 
 
-class AgentState(Enum):
-    DEPLOYED = "deployed"
-    COLLECTING = "collecting"
-    REPORTING = "reporting"
-
-
 @dataclass
 class DetectionAgent:
     host: int
     controller: int
-    state: AgentState = AgentState.DEPLOYED
 
 
 @dataclass
@@ -138,28 +130,15 @@ class VerdictRecord:
     alerted: bool
 
 
-def build_knowledge_base(scenario, clusters=None) -> KnowledgeBase:
+def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
     """Derive baselines and the energy expectation from the configuration.
 
-    Baselines come straight from the declared capacities (per-node override
-    first, service default second); the message allowance is sized from the
-    cluster layout, which is recomputed here when not supplied.
+    Baselines are ``capacities`` (``Scenario.capacities()``, node to service
+    to capacity); the message allowance is sized from the cluster layout.
     """
-    defaults = {s.name: s.capacity for s in scenario.services}
-    baseline: dict[tuple[int, Service], int] = {}
-    for node in scenario.nodes:
-        for svc_name, default_cap in defaults.items():
-            cap = node.overrides.get(svc_name, default_cap)
-            if cap is None:
-                raise MissingCapacity(
-                    f"node {node.id} offers {svc_name!r} but no capacity is configured"
-                )
-            baseline[(node.id, svc_name)] = cap
+    baseline = {(node, svc): cap for node, caps in capacities.items()
+                for svc, cap in caps.items()}
     params = scenario.energy_params()
-    if clusters is None:
-        from .clustering import form_clusters
-
-        clusters = form_clusters(scenario.topology(), {n.id: n.energy for n in scenario.nodes})
     per_msg = params.tx_per_msg + params.rx_per_msg
     budget: dict[int, int] = {}
     for cluster in clusters:
@@ -178,7 +157,6 @@ def build_knowledge_base(scenario, clusters=None) -> KnowledgeBase:
 def collect(agent: DetectionAgent, window: int, observed: dict[Service, int],
             energy_drawn: int) -> BehaviorSample:
     """Package the window's served load and energy draw for the agent's host."""
-    agent.state = AgentState.COLLECTING
     return BehaviorSample(
         node=agent.host, window=window, observed=dict(observed), energy_drawn=energy_drawn
     )
@@ -188,7 +166,9 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     """Pure comparison of one sample against the knowledge base.
 
     Overload is strict: observed must exceed the baseline by at least one
-    request. The energy check is separate and multiplicative.
+    request. The energy check is separate and multiplicative: the draw is
+    anomalous iff it exceeds ``expected * (1 + tolerance)``, compared in
+    integers, so a draw exactly at that limit is normal.
     """
     if sample.node not in kb.nodes():
         raise UnknownNode(f"no baselines for node {sample.node}")
@@ -198,7 +178,8 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
         per_service[svc] = Overload(observed, base) if observed > base else None
     expected = kb.expected_energy(sample.node, sample.observed)
     anomaly = None
-    if sample.energy_drawn > expected * (1.0 + kb.energy_tolerance):
+    num, den = kb._tolerance.numerator, kb._tolerance.denominator
+    if sample.energy_drawn * den > expected * (den + num):
         anomaly = EnergyAnomaly(drawn=sample.energy_drawn, expected=expected)
     return DetectionVerdict(
         node=sample.node, window=sample.window, per_service=per_service,
@@ -220,15 +201,11 @@ def report_alert(agent: DetectionAgent, verdict: DetectionVerdict,
     if not alert and verdict.window % report_every != 0:
         return "none"
     kind = "alert" if alert else "report"
-    agent.state = AgentState.REPORTING
-    try:
-        if agent.controller == agent.host:
-            sim.local_deliver(agent.host, kind, (verdict, sample))
-        else:
-            controller_dev = sim.devices.get(agent.controller)
-            if controller_dev is None or controller_dev.status is Status.DEPLETED:
-                raise Unreachable(f"controller {agent.controller} is depleted")
-            sim.send(agent.host, agent.controller, kind, (verdict, sample))
-    finally:
-        agent.state = AgentState.COLLECTING
+    if agent.controller == agent.host:
+        sim.local_deliver(agent.host, kind, (verdict, sample))
+    else:
+        controller_dev = sim.devices.get(agent.controller)
+        if controller_dev is None or controller_dev.status is Status.DEPLETED:
+            raise Unreachable(f"controller {agent.controller} is depleted")
+        sim.send(agent.host, agent.controller, kind, (verdict, sample))
     return kind

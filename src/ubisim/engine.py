@@ -11,7 +11,7 @@ mode, and the episode is judged against the node's next-window sample.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,7 +77,6 @@ class EpisodeRecord:
     jain_after: dict[Service, Fraction]
     verdict: DetectionVerdict
     outcome: object = None
-    remaining: dict[Service, int] = field(default_factory=dict)
     post_window: int | None = None
 
 
@@ -98,22 +97,17 @@ class Engine:
         self.scenario = scenario
         run = scenario.run
         params = scenario.energy_params()
-        devices = []
+        capacities = scenario.capacities()
         topo = scenario.topology()
-        for n in scenario.nodes:
-            caps = {}
-            for spec in scenario.services:
-                cap = n.overrides.get(spec.name, spec.capacity)
-                if cap is not None:
-                    caps[spec.name] = cap
-            devices.append(
-                DeviceState(
-                    id=n.id,
-                    neighbors=topo.neighbors(n.id),
-                    energy_mj=n.energy,
-                    capacities=caps,
-                )
+        devices = [
+            DeviceState(
+                id=n.id,
+                neighbors=topo.neighbors(n.id),
+                energy_mj=n.energy,
+                capacities=capacities[n.id],
             )
+            for n in scenario.nodes
+        ]
         self.sim = Simulation(
             devices,
             params,
@@ -127,7 +121,7 @@ class Engine:
         energies = {n.id: n.energy for n in scenario.nodes}
         clusters = form_clusters(topo, energies)
         self.sim.install_clusters(clusters)
-        self.kb = build_knowledge_base(scenario, clusters)
+        self.kb = build_knowledge_base(scenario, capacities, clusters)
         self.controllers = {
             c.head: _Controller(c.head, c.nodes, self.kb) for c in clusters
         }
@@ -154,8 +148,7 @@ class Engine:
         verdicts = {}
         for host in sorted(self.agents):
             agent = self.agents[host]
-            dev = sim.devices.get(host)
-            if dev is None or dev.status is Status.DEPLETED:
+            if sim.devices[host].status is Status.DEPLETED:
                 continue
             observed = sim.served_snapshot.get(host)
             if observed is None:
@@ -196,13 +189,9 @@ class Engine:
                     continue
                 result = correction_outcome(ep.verdict, samples[node], self.kb)
                 ep.outcome = result.outcome
-                ep.remaining = result.remaining
                 ep.post_window = window
                 for svc, se in ep.services.items():
-                    se.excess_after = max(
-                        0,
-                        samples[node].observed.get(svc, 0) - self.kb.baseline_for(node, svc),
-                    )
+                    se.excess_after = result.remaining.get(svc, 0)
                     se.outcome = service_outcome(se.excess_before, se.excess_after)
                 self.sim.emit(self.sim.clock, node, "outcome",
                               f"window={ep.window} result={result.outcome.value}")
@@ -213,10 +202,8 @@ class Engine:
     # -- message handling --
 
     def _on_message(self, msg) -> None:
-        if isinstance(msg, LocalDelivery):
-            receiver, kind = msg.node, msg.kind
-        else:
-            receiver, kind = msg.receiver, msg.kind
+        receiver = msg.node if isinstance(msg, LocalDelivery) else msg.receiver
+        kind = msg.kind
         if kind == "agent_deploy":
             self.agents[receiver] = DetectionAgent(host=receiver, controller=msg.sender)
             return
@@ -329,10 +316,7 @@ class Engine:
             self.controllers[cluster.head] = _Controller(
                 cluster.head, cluster.nodes, self.kb
             )
-            if cluster.head not in self.agents:
-                self.agents[cluster.head] = DetectionAgent(
-                    host=cluster.head, controller=cluster.head
-                )
+            self.agents.setdefault(cluster.head, DetectionAgent(cluster.head, cluster.head))
             for n in cluster.nodes:
                 agent = self.agents.get(n)
                 if agent is not None:

@@ -28,11 +28,6 @@ class DeviceUnavailable(SimulationError):
     """The device is quiesced or depleted and cannot take the requested action."""
 
 
-class Role(Enum):
-    MEMBER = "member"
-    CLUSTER_HEAD = "head"
-
-
 class Status(Enum):
     RUNNING = "running"
     QUIESCED = "quiesced"
@@ -91,7 +86,6 @@ class DeviceState:
     energy_mj: int = 10_000
     capacities: dict[Service, int] = field(default_factory=dict)
     load: dict[Service, int] = field(default_factory=dict)
-    role: Role = Role.MEMBER
     status: Status = Status.RUNNING
 
     def __post_init__(self) -> None:
@@ -149,11 +143,3 @@ def consume_energy(device: DeviceState, activity: Activity, params: EnergyParams
     if device.energy_mj == 0:
         device.status = Status.DEPLETED
     return debit
-
-
-def reset_window(device: DeviceState) -> dict[Service, int]:
-    """Zero the device's load; returns the window's served counts."""
-    archived = dict(device.load)
-    for svc in device.load:
-        device.load[svc] = 0
-    return archived

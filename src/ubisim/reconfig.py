@@ -100,15 +100,13 @@ class ReconfigPlan:
 
 
 def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
-                         mode: Mode = Mode.DYNAMIC, current_window: int | None = None,
-                         staleness_max: int = 2) -> ReconfigPlan:
+                         mode: Mode = Mode.DYNAMIC, staleness_max: int = 2) -> ReconfigPlan:
     """Water-fill each overloaded service's excess onto the freshest peers.
 
     Pure in (view, verdict): identical inputs yield the identical directive
     list. Raises StaleView when peers exist but none has been heard from
-    within ``staleness_max`` windows.
+    within ``staleness_max`` windows of the verdict's window.
     """
-    window = verdict.window if current_window is None else current_window
     plan = ReconfigPlan(head=view.head, node=verdict.node, window=verdict.window, mode=mode)
     overloaded = verdict.overloaded
     if not overloaded:
@@ -117,7 +115,7 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     eligible = [
         e for e in peers
         if e.status is Status.RUNNING and e.load is not None
-        and window - e.window <= staleness_max
+        and verdict.window - e.window <= staleness_max
     ]
     if peers and not eligible:
         raise StaleView(f"no fresh view of any peer of node {verdict.node}")

@@ -29,6 +29,7 @@ carrying the offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import EnergyParams, SimulationError
@@ -67,6 +68,10 @@ class DanglingEdge(ParseError):
 
 class NegativeValue(ParseError):
     pass
+
+
+class MissingCapacity(SimulationError):
+    """A node offers a service with no capacity configured anywhere."""
 
 
 @dataclass
@@ -134,6 +139,18 @@ class Scenario:
     def service_names(self) -> list[str]:
         return [s.name for s in self.services]
 
+    def capacities(self) -> dict[int, dict[str, int]]:
+        """Each node's capacity per service, in declaration order: the node's
+        override, else the service default; MissingCapacity if neither."""
+        out = {n.id: {s.name: n.overrides.get(s.name, s.capacity) for s in self.services}
+               for n in self.nodes}
+        for nid, caps in out.items():
+            for svc, cap in caps.items():
+                if cap is None:
+                    raise MissingCapacity(
+                        f"node {nid} offers {svc!r} but no capacity is configured")
+        return out
+
     def energy_params(self) -> EnergyParams:
         return EnergyParams(
             idle_per_tick=self.energy.idle,
@@ -181,6 +198,8 @@ def _float(fields: dict[str, str], key: str, lineno: int, *, minimum: float = 0.
         value = float(raw)
     except ValueError:
         raise MalformedLine(f"{key} must be a number, got {raw!r}", lineno) from None
+    if not math.isfinite(value):
+        raise MalformedLine(f"{key} must be finite, got {raw!r}", lineno)
     if value < minimum:
         raise NegativeValue(f"{key} must be >= {minimum}, got {value}", lineno)
     return value

@@ -6,6 +6,11 @@ single-threaded; identical (scenario, seed) pairs replay to byte-identical
 traces because every stochastic choice draws from the kernel's single seeded
 generator in dispatch order and every iteration over devices is id-sorted.
 
+The trace is one line per happening, ``tick seq target kind details``,
+written only by ``Simulation.emit``. A dispatched event's line carries the
+seq it was scheduled with; every other line draws the next seq when it is
+written.
+
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed only at a tick where it sends or receives
 a message, at the last tick of every measurement window (where each running
@@ -32,13 +37,11 @@ from .model import (
     DeviceState,
     DeviceUnavailable,
     EnergyParams,
-    Role,
     Service,
     SimulationError,
     Status,
     apply_requests,
     consume_energy,
-    reset_window,
 )
 
 KERNEL = "KERNEL"
@@ -57,11 +60,6 @@ class SenderDepleted(SimulationError):
 
 
 # --- event payloads ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tick:
-    """Kernel heartbeat; no effect beyond advancing the clock."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,7 @@ class MsgDeliver:
     message: Message
 
 
-Payload = Union[Tick, WindowBoundary, Arrival, InjectOverload, Resume, MsgDeliver]
+Payload = Union[WindowBoundary, Arrival, InjectOverload, Resume, MsgDeliver]
 
 
 @dataclass
@@ -143,9 +141,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 # --- structured run records --------------------------------------------------
@@ -176,7 +171,6 @@ class RunLog:
     """
 
     lines: list[str] = field(default_factory=list)
-    processed: list[tuple[int, int]] = field(default_factory=list)
     injections: list[InjectionRecord] = field(default_factory=list)
     verdicts: list = field(default_factory=list)  # detection.VerdictRecord
     episodes: list = field(default_factory=list)  # engine.EpisodeRecord
@@ -238,11 +232,8 @@ class Simulation:
         self._seq = itertools.count()
         self.log = RunLog()
         self.demand: dict[int, dict[Service, int]] = {
-            d.id: {s: 0 for s in d.capacities} for d in devices
+            d.id: {**dict.fromkeys(d.capacities, 0), **d.load} for d in devices
         }
-        for d in devices:
-            for s, n in d.load.items():
-                self.demand[d.id][s] = n
         self.clusters: dict[int, set[int]] = {}
         self.head_of: dict[int, int] = {}
         # event-driven billing state; see the module docstring
@@ -267,16 +258,12 @@ class Simulation:
 
     # -- logging --
 
-    def emit(self, tick: int, target: Union[int, str], kind: str, details: str = "") -> None:
-        seq = next(self._seq)
+    def emit(self, tick: int, target: Union[int, str], kind: str, details: str = "",
+             seq: Optional[int] = None) -> None:
+        """Append one trace line; a dispatched event passes its own ``seq``."""
+        if seq is None:
+            seq = next(self._seq)
         line = f"{tick} {seq} {target} {kind}"
-        if details:
-            line += f" {details}"
-        self.log.lines.append(line)
-
-    def _emit_event(self, ev: Event) -> None:
-        kind, details = _describe(ev.payload)
-        line = f"{ev.time} {ev.seq} {ev.target} {kind}"
         if details:
             line += f" {details}"
         self.log.lines.append(line)
@@ -300,8 +287,6 @@ class Simulation:
             self._flush_through(ev.time - 1)
             self._activity = {}  # an unbilled tick left is past the horizon or settled
             self.clock = ev.time
-        self.log.processed.append((ev.time, ev.seq))
-        self._emit_event(ev)
         self._dispatch(ev)
         return ev
 
@@ -309,10 +294,7 @@ class Simulation:
         """Step until the queue is empty or the next event is past ``t_end``."""
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before clock={self.clock}")
-        while self.queue:
-            nxt = self.queue.peek_time()
-            if nxt is None or nxt > t_end:
-                break
+        while self.queue and self.queue.peek_time() <= t_end:
             self.step()
         self._flush_through(min(t_end, self.horizon) - 1)
         self.log.final_energy = {nid: self.energy(nid) for nid in self._ids}
@@ -349,16 +331,14 @@ class Simulation:
     # -- cluster registry --
 
     def install_clusters(self, clusters) -> None:
-        """Record head/member assignments for routing, roles, and the trace."""
+        """Record head/member assignments for routing and the trace."""
         for cluster in clusters:
             head = cluster.head
             members = set(cluster.members)
             self.clusters[head] = members
             self.head_of[head] = head
-            self.devices[head].role = Role.CLUSTER_HEAD
             for m in members:
                 self.head_of[m] = head
-                self.devices[m].role = Role.MEMBER
             ms = ",".join(str(m) for m in sorted(members))
             self.emit(self.clock, KERNEL, "cluster", f"head={head} members={ms}")
             self.log.cluster_records.append((self.clock, head, tuple(sorted(members))))
@@ -490,23 +470,30 @@ class Simulation:
     # -- dispatch --
 
     def _dispatch(self, ev: Event) -> None:
+        """Write the event's trace line under its own seq, then apply it."""
         p = ev.payload
-        if isinstance(p, (Arrival, InjectOverload)):
-            if isinstance(p, Arrival):
-                self._apply_arrival(p.node, p.service, p.count, injected=False)
-            else:
-                self._apply_arrival(p.node, p.service, p.amount, injected=True)
+        if isinstance(p, Arrival):
+            self.emit(ev.time, ev.target, "arrival", f"service={p.service} n={p.count}", ev.seq)
+            self._apply_arrival(p.node, p.service, p.count, injected=False)
+        elif isinstance(p, InjectOverload):
+            self.emit(ev.time, ev.target, "inject", f"service={p.service} amount={p.amount}",
+                      ev.seq)
+            self._apply_arrival(p.node, p.service, p.amount, injected=True)
         elif isinstance(p, MsgDeliver):
-            self._deliver(p.message)
+            m = p.message
+            self.emit(ev.time, ev.target, "deliver", f"from={m.sender} kind={m.kind}", ev.seq)
+            self._deliver(m)
         elif isinstance(p, WindowBoundary):
+            self.emit(ev.time, ev.target, "boundary", f"window={p.window}", ev.seq)
             self.on_boundary(p.window)
             self._close_window(p.window)
         elif isinstance(p, Resume):
+            self.emit(ev.time, ev.target, "resume", "", ev.seq)
             dev = self.devices[p.node]
             if dev.status is Status.QUIESCED:
                 dev.status = Status.RUNNING
-        elif isinstance(p, Tick):
-            pass
+        else:
+            raise TypeError(f"unknown event payload {p!r}")
 
     def _apply_arrival(self, node: int, service: Service, n: int, *, injected: bool) -> None:
         dev = self.devices[node]
@@ -548,25 +535,8 @@ class Simulation:
             self.window_acc[nid] = 0
             if dev.status is Status.DEPLETED:
                 continue
-            reset_window(dev)
             for s, n in self.demand[nid].items():
                 dev.load[s] = n
         self.served_snapshot = {}
         self.log.windows_completed = window + 1
 
-
-def _describe(payload: Payload) -> tuple[str, str]:
-    if isinstance(payload, Tick):
-        return "tick", ""
-    if isinstance(payload, WindowBoundary):
-        return "boundary", f"window={payload.window}"
-    if isinstance(payload, Arrival):
-        return "arrival", f"service={payload.service} n={payload.count}"
-    if isinstance(payload, InjectOverload):
-        return "inject", f"service={payload.service} amount={payload.amount}"
-    if isinstance(payload, Resume):
-        return "resume", ""
-    if isinstance(payload, MsgDeliver):
-        m = payload.message
-        return "deliver", f"from={m.sender} kind={m.kind}"
-    return "unknown", ""

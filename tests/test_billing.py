@@ -14,7 +14,7 @@ import ubisim.simkernel
 from ubisim.engine import run_scenario
 from ubisim.model import EnergyParams
 from ubisim.scenario import parse_scenario
-from ubisim.simkernel import KERNEL, Simulation, Tick
+from ubisim.simkernel import Resume, Simulation
 
 from conftest import make_device
 
@@ -139,7 +139,7 @@ def test_billing_calls_scale_with_activity_not_ticks(monkeypatch):
 def test_energy_reads_settle_through_the_tick_before_the_clock():
     devs = [make_device(0, energy=1_000), make_device(1, energy=1_000, neighbors={0})]
     sim = Simulation(devs, EnergyParams(idle_per_tick=3), window=100, horizon=100)
-    sim.schedule(50, KERNEL, Tick())
+    sim.schedule(50, 0, Resume(0))  # node 0 is running: a no-op event
     sim.step()
     assert sim.devices[1].energy_mj == 1_000  # ticks 0-49 not billed yet
     assert sim.energy(1) == 1_000 - 3 * 50

@@ -10,7 +10,7 @@ from ubisim.clustering import (
     form_clusters,
     reform_cluster,
 )
-from ubisim.model import EnergyParams, Role, Status
+from ubisim.model import EnergyParams, Status
 from ubisim.simkernel import Simulation
 
 from conftest import make_device
@@ -214,7 +214,7 @@ class TestReformCluster:
         assert by_head[1].members == frozenset({2})
         assert by_head[0].members == frozenset()  # dead head is a singleton
         assert sim.head_of[2] == 1
-        assert sim.devices[1].role is Role.CLUSTER_HEAD
+        assert sim.head_of[1] == 1
 
     def test_reelection_prefers_energy(self):
         devs = [

@@ -1,14 +1,15 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
+from ubisim.clustering import form_clusters
 from ubisim.detection import (
-    AgentState,
     BehaviorSample,
     DetectionAgent,
     EnergyAnomaly,
     KnowledgeBase,
-    MissingCapacity,
     Overload,
     UnknownNode,
     build_knowledge_base,
@@ -18,9 +19,11 @@ from ubisim.detection import (
 )
 from ubisim.engine import Engine, run_scenario
 from ubisim.model import EnergyParams
-from ubisim.scenario import parse_scenario
+from ubisim.scenario import MissingCapacity, parse_scenario
 
 from ubisim.cli import load_bundled_scenario
+
+from conftest import TWO_NODE_SCENARIO
 
 TABLE_BASELINES = {"Print": 34, "View": 123, "SendEmail": 10, "UpdateBDD": 50, "Scan": 8}
 TABLE_OVERLOADS = {"Print": 50, "View": 124, "SendEmail": 21, "UpdateBDD": 56, "Scan": 30}
@@ -37,6 +40,12 @@ def simple_kb(baselines=None, node=1, window=10, budget=0, tolerance=0.10):
     )
 
 
+def scenario_kb(scenario):
+    """The knowledge base an Engine builds for ``scenario``."""
+    clusters = form_clusters(scenario.topology(), {n.id: n.energy for n in scenario.nodes})
+    return build_knowledge_base(scenario, scenario.capacities(), clusters)
+
+
 def sample_for(observed, node=1, window=1, drawn=None, kb=None):
     kb = kb or simple_kb(node=node)
     if drawn is None:
@@ -46,7 +55,7 @@ def sample_for(observed, node=1, window=1, drawn=None, kb=None):
 
 class TestBuildKnowledgeBase:
     def test_table_defaults(self):
-        kb = build_knowledge_base(load_bundled_scenario())
+        kb = scenario_kb(load_bundled_scenario())
         for node in range(6):
             for svc, cap in TABLE_BASELINES.items():
                 assert kb.baseline_for(node, svc) == cap
@@ -58,7 +67,7 @@ class TestBuildKnowledgeBase:
             "[edges]\na=0 b=1\n"
             "[run]\nticks=10 window=10\n"
         )
-        kb = build_knowledge_base(scenario)
+        kb = scenario_kb(scenario)
         assert kb.baseline_for(0, "Print") == 40
         assert kb.baseline_for(1, "Print") == 34
 
@@ -70,10 +79,12 @@ class TestBuildKnowledgeBase:
             "[run]\nticks=10 window=10\n"
         )
         with pytest.raises(MissingCapacity):
-            build_knowledge_base(scenario)
+            scenario.capacities()
+        with pytest.raises(MissingCapacity):
+            Engine(scenario)
 
     def test_message_budget_from_cluster_shape(self):
-        kb = build_knowledge_base(load_bundled_scenario())
+        kb = scenario_kb(load_bundled_scenario())
         # head 0 has five members; per-message allowance is tx+rx = 3
         assert kb.msg_budget[0] == 15
         assert all(kb.msg_budget[m] == 3 for m in range(1, 6))
@@ -85,7 +96,6 @@ class TestCollect:
         sample = collect(agent, 1, {"Print": 50}, 262)
         assert sample.observed == {"Print": 50}
         assert sample.energy_drawn == 262
-        assert agent.state is AgentState.COLLECTING
 
     def test_idle_window_energy_is_idle_ticks(self):
         # one isolated node, no workload: window energy = window * idle
@@ -176,6 +186,56 @@ class TestControlCompare:
         assert not bad.all_normal
 
 
+# (tolerance, expected, limit): ``expected * (1.0 + tolerance)`` in floats
+# falls just below the exact limit in every row
+ENERGY_LIMITS = [
+    (0.15, 100, 115),
+    (0.13, 100, 113),
+    (0.16, 25, 29),
+    (0.17, 1700, 1989),
+    (0.57, 100, 157),
+]
+
+
+class TestEnergyBoundary:
+    """The energy limit is exact: a draw at ``expected * (1 + tolerance)`` is
+    normal and one millijoule above it is anomalous, like AC2's overload."""
+
+    @staticmethod
+    def verdict(tolerance, expected, drawn):
+        # an idle window of ``expected`` ticks at 1 mJ a tick
+        kb = simple_kb({"Print": 34}, window=expected, budget=0, tolerance=tolerance)
+        assert kb.expected_energy(1, {"Print": 0}) == expected
+        return control_compare(sample_for({"Print": 0}, drawn=drawn, kb=kb), kb)
+
+    @pytest.mark.parametrize("tolerance,expected,limit", ENERGY_LIMITS)
+    def test_limit_is_normal_one_above_is_anomalous(self, tolerance, expected, limit):
+        assert self.verdict(tolerance, expected, limit).energy_anomaly is None
+        above = self.verdict(tolerance, expected, limit + 1)
+        assert above.energy_anomaly == EnergyAnomaly(drawn=limit + 1, expected=expected)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 0.1, 0.13, 0.15, 0.16, 0.25, 0.57, 1.5])
+    def test_matches_exact_decimal_oracle(self, tolerance):
+        exact = 1 + Fraction(str(tolerance))
+        for expected in range(1, 401):
+            limit = expected * exact
+            for drawn in (math.floor(limit), math.floor(limit) + 1):
+                verdict = self.verdict(tolerance, expected, drawn)
+                assert (verdict.energy_anomaly is not None) == (drawn > limit), (expected, drawn)
+
+    def test_parsed_tolerance_reaches_the_comparison(self):
+        text = TWO_NODE_SCENARIO.format(load=0).replace(
+            "ticks=30 window=10", "ticks=97 window=97 energy_tolerance=0.15")
+        kb = Engine(parse_scenario(text)).kb
+        observed = {"View": 0}
+        # 97 idle ticks plus the member's 3 mJ message allowance
+        assert kb.expected_energy(1, observed) == 100
+        ok = control_compare(sample_for(observed, drawn=115, kb=kb), kb)
+        assert ok.energy_anomaly is None
+        bad = control_compare(sample_for(observed, drawn=116, kb=kb), kb)
+        assert bad.energy_anomaly == EnergyAnomaly(drawn=116, expected=100)
+
+
 class TestKnowledgeBaseIndex:
     """A KnowledgeBase built straight from a baseline dict, as the tests do."""
 
@@ -231,7 +291,6 @@ class TestReportAlert:
         kind = report_alert(agent, verdict, sample, sim)
         assert kind == "alert"
         assert len(verdict.overloaded) == 5  # one alert carrying all five
-        assert agent.state is AgentState.COLLECTING
         assert any(
             l.split()[3] == "send" and "kind=alert" in l for l in sim.log.lines
         )

@@ -11,7 +11,6 @@ from ubisim.model import (
     apply_requests,
     consume_energy,
     energy_delta,
-    reset_window,
 )
 
 from conftest import make_device
@@ -130,29 +129,6 @@ class TestConsumeEnergy:
             last = dev.energy_mj
         assert initial - dev.energy_mj == debited
         assert (dev.energy_mj == 0) == (dev.status is Status.DEPLETED)
-
-
-class TestResetWindow:
-    def test_zeroes_and_archives(self):
-        dev = make_device(capacities=TABLE_CAPS)
-        apply_requests(dev, "Print", 50)
-        archived = reset_window(dev)
-        assert dev.load["Print"] == 0
-        assert archived == {**{svc: 0 for svc in TABLE_CAPS}, "Print": 50}
-
-    def test_idempotent_on_zero(self):
-        dev = make_device(capacities=TABLE_CAPS)
-        before = dict(dev.load)
-        reset_window(dev)
-        assert dev.load == before
-
-    def test_archives_full_overload_row(self):
-        dev = make_device(capacities=TABLE_CAPS)
-        row = {"Print": 50, "View": 124, "SendEmail": 21, "UpdateBDD": 56, "Scan": 30}
-        for svc, n in row.items():
-            apply_requests(dev, svc, n)
-        assert reset_window(dev) == row
-        assert all(v == 0 for v in dev.load.values())
 
 
 def test_device_state_invariants():

@@ -112,6 +112,12 @@ class TestParseErrors:
         with pytest.raises(MalformedLine):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("field", ["drop", "energy_tolerance"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number(self, field, value):
+        with pytest.raises(MalformedLine):
+            parse_scenario(MINIMAL + f"\n[run]\n{field}={value}\n")
+
     def test_missing_sections(self):
         with pytest.raises(MalformedLine):
             parse_scenario("[nodes]\nid=0\n")

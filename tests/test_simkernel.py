@@ -8,14 +8,24 @@ from ubisim.simkernel import (
     KERNEL,
     Arrival,
     PastEvent,
+    Resume,
     SenderDepleted,
     Simulation,
-    Tick,
     Unreachable,
     WindowBoundary,
 )
 
 from conftest import make_device, random_scenario_text
+
+
+# node 0 is running, so resuming it changes nothing: an event with no effect
+NOOP = Resume(0)
+
+
+def event_lines(log, kind):
+    """(tick, seq) of each dispatched event of ``kind``, in trace order."""
+    rows = [line.split() for line in log.serialize().splitlines()]
+    return [(int(r[0]), int(r[1])) for r in rows if r[3] == kind]
 
 
 def two_node_sim(**kw):
@@ -32,16 +42,16 @@ def two_node_sim(**kw):
 class TestQueueOrdering:
     def test_pops_earliest_time(self):
         sim = two_node_sim()
-        sim.schedule(9, KERNEL, Tick())
-        sim.schedule(2, KERNEL, Tick())
+        sim.schedule(9, 0, NOOP)
+        sim.schedule(2, 0, NOOP)
         ev = sim.step()
         assert ev.time == 2
         assert sim.clock == 2
 
     def test_fifo_within_tick(self):
         sim = two_node_sim()
-        first = sim.schedule(5, KERNEL, Tick())
-        second = sim.schedule(5, KERNEL, Tick())
+        first = sim.schedule(5, 0, NOOP)
+        second = sim.schedule(5, 0, NOOP)
         assert sim.step() is first
         assert sim.step() is second
 
@@ -52,18 +62,20 @@ class TestQueueOrdering:
 
     def test_past_event_rejected(self):
         sim = two_node_sim()
-        sim.schedule(7, KERNEL, Tick())
+        sim.schedule(7, 0, NOOP)
         sim.step()
         with pytest.raises(PastEvent):
-            sim.schedule(3, KERNEL, Tick())
+            sim.schedule(3, 0, NOOP)
 
     def test_processed_order_strictly_increasing(self):
         sim = two_node_sim()
         for t in (4, 1, 4, 9, 1):
-            sim.schedule(t, KERNEL, Tick())
+            sim.schedule(t, 0, NOOP)
         sim.run_until(50)
-        assert sim.log.processed == sorted(sim.log.processed)
-        assert len(set(sim.log.processed)) == len(sim.log.processed)
+        order = event_lines(sim.log, "resume")
+        assert [tick for tick, _seq in order] == [1, 1, 4, 4, 9]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
 
 
 class TestSend:
@@ -122,12 +134,12 @@ class TestRunUntil:
         sim = two_node_sim()
         sim.schedule(0, KERNEL, WindowBoundary(0))
         log = sim.run_until(0)
-        assert len(log.processed) == 1
+        assert event_lines(log, "boundary") == [(0, 1)]  # seq 0 is the cluster line
 
     def test_stops_before_later_events(self):
         sim = two_node_sim()
-        sim.schedule(3, KERNEL, Tick())
-        sim.schedule(30, KERNEL, Tick())
+        sim.schedule(3, 0, NOOP)
+        sim.schedule(30, 0, NOOP)
         sim.run_until(10)
         assert sim.clock == 3
         assert len(sim.queue) == 1
@@ -141,7 +153,7 @@ class TestRunUntil:
 
     def test_past_t_end_rejected(self):
         sim = two_node_sim()
-        sim.schedule(8, KERNEL, Tick())
+        sim.schedule(8, 0, NOOP)
         sim.run_until(8)
         with pytest.raises(PastEvent):
             sim.run_until(2)
