@@ -12,7 +12,7 @@ file periodic reports.
 from __future__ import annotations
 
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -51,21 +51,23 @@ class KnowledgeBase:
     messages (reports out of members, reports/directives through heads).
 
     ``baseline`` is read once, at construction, into a per-node index of
-    capacities, and ``energy_tolerance`` into the exact fraction its decimal
-    literal names; nothing in the simulator changes either afterwards, and a
-    caller that does must build a new KnowledgeBase.
+    capacities, which is then its only owner, and ``energy_tolerance`` into
+    the exact fraction its decimal literal names; nothing in the simulator
+    changes either afterwards, and a caller that does must build a new
+    KnowledgeBase.
     """
 
-    baseline: dict[tuple[int, Service], int]
+    baseline: InitVar[dict[tuple[int, Service], int]]
     params: EnergyParams
     window: int
     msg_budget: dict[int, int] = field(default_factory=dict)
     energy_tolerance: float = 0.10
+    # node -> {service: capacity}, services in sorted order
+    _capacities: dict[int, dict[Service, int]] = field(init=False)
 
-    def __post_init__(self) -> None:
-        # node -> {service: capacity}, services in sorted order
-        self._capacities: dict[int, dict[Service, int]] = {}
-        for (node, svc), cap in sorted(self.baseline.items(), key=lambda kv: kv[0][1]):
+    def __post_init__(self, baseline: dict[tuple[int, Service], int]) -> None:
+        self._capacities = {}
+        for (node, svc), cap in sorted(baseline.items(), key=lambda kv: kv[0][1]):
             self._capacities.setdefault(node, {})[svc] = cap
         self._tolerance = Fraction(str(self.energy_tolerance))
 
@@ -78,7 +80,7 @@ class KnowledgeBase:
         return dict(self._capacities.get(node, {}))
 
     def baseline_for(self, node: int, service: Service) -> int:
-        return self.baseline[(node, service)]
+        return self._capacities[node][service]
 
     def expected_energy(self, node: int, served: dict[Service, int]) -> int:
         expected = self.window * self.params.idle_per_tick
@@ -122,12 +124,15 @@ class DetectionAgent:
 
 @dataclass
 class VerdictRecord:
-    """Trace-side record of one verdict plus whether it raised an alert."""
+    """Trace-side record of one verdict; any non-normal verdict is alerted."""
 
     window: int
     node: int
     verdict: DetectionVerdict
-    alerted: bool
+
+    @property
+    def alerted(self) -> bool:
+        return not self.verdict.all_normal
 
 
 def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
@@ -170,11 +175,12 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     anomalous iff it exceeds ``expected * (1 + tolerance)``, compared in
     integers, so a draw exactly at that limit is normal.
     """
-    if sample.node not in kb.nodes():
+    caps = kb._capacities.get(sample.node)
+    if caps is None:
         raise UnknownNode(f"no baselines for node {sample.node}")
     per_service: dict[Service, Overload | None] = {}
     for svc, observed in sample.observed.items():
-        base = kb.baseline_for(sample.node, svc)
+        base = caps[svc]
         per_service[svc] = Overload(observed, base) if observed > base else None
     expected = kb.expected_energy(sample.node, sample.observed)
     anomaly = None

@@ -157,8 +157,8 @@ class Engine:
             verdict = control_compare(sample, self.kb)
             samples[host] = sample
             verdicts[host] = verdict
-            alerted = not verdict.all_normal
-            sim.log.verdicts.append(VerdictRecord(window, host, verdict, alerted))
+            record = VerdictRecord(window, host, verdict)
+            sim.log.verdicts.append(record)
             detail = " ".join(
                 f"{svc}={o.observed}/{o.baseline}" for svc, o in verdict.overloaded.items()
             )
@@ -166,7 +166,7 @@ class Engine:
                 a = verdict.energy_anomaly
                 detail = (detail + f" energy={a.drawn}/{a.expected}").strip()
             sim.emit(sim.clock, host, "verdict",
-                     f"window={window} {'overload' if alerted else 'normal'}"
+                     f"window={window} {'overload' if record.alerted else 'normal'}"
                      + (f" {detail}" if detail else ""))
         self._resolve_pending(window, samples)
         for host in sorted(verdicts):

@@ -7,8 +7,11 @@ Everything here is a pure function over an immutable RunLog.
 
 from __future__ import annotations
 
+import math
+import operator
 import statistics
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .model import Service
 from .reconfig import Outcome
@@ -22,17 +25,28 @@ def jain_index(values):
     list is perfectly balanced nothing and reports 1 by convention. The
     result always has the type a true division of the inputs gives:
     Fraction inputs stay exact, floats and ints give a float.
+
+    A list of Fractions is put over one common denominator D, x_i = a_i / D,
+    so the index is T^2 / (n * S) with T the sum of the integer numerators
+    a_i and S the sum of their squares: integer sums and a single Fraction
+    at the end, which normalises to the same value as summing Fractions.
     """
     if not values:
         raise ValueError("jain_index needs at least one value")
+    if all(isinstance(v, Fraction) for v in values):
+        common = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (common // v.denominator) for v in values]
+        divide = Fraction
+    else:
+        divide = operator.truediv
     if any(v < 0 for v in values):
         raise ValueError("jain_index values must be non-negative")
     total = sum(values)
     if total == 0:
         one = total + 1
-        return one / one
+        return divide(one, one)
     squares = sum(v * v for v in values)
-    return (total * total) / (len(values) * squares)
+    return divide(total * total, len(values) * squares)
 
 
 def detection_stats(log: RunLog) -> dict:

@@ -8,10 +8,12 @@ from ubisim.clustering import form_clusters
 from ubisim.detection import (
     BehaviorSample,
     DetectionAgent,
+    DetectionVerdict,
     EnergyAnomaly,
     KnowledgeBase,
     Overload,
     UnknownNode,
+    VerdictRecord,
     build_knowledge_base,
     collect,
     control_compare,
@@ -274,6 +276,24 @@ class TestKnowledgeBaseIndex:
         assert kb.capacities(1) == {}
         kb.capacities(0)["Print"] = 999  # a copy: the index is unchanged
         assert kb.capacities(0) == {"Print": 34, "View": 123}
+
+    def test_baseline_is_read_once_into_the_index(self):
+        kb = self._kb()
+        assert not hasattr(kb, "baseline")
+        for (node, svc), cap in self.BASELINE.items():
+            assert kb.baseline_for(node, svc) == cap
+        with pytest.raises(KeyError):
+            kb.baseline_for(2, "Print")
+
+
+class TestVerdictRecord:
+    def test_alerted_iff_verdict_is_not_all_normal(self):
+        normal = DetectionVerdict(1, 0, {"View": None})
+        overloaded = DetectionVerdict(1, 0, {"View": Overload(124, 123)})
+        energy_only = DetectionVerdict(1, 0, {"View": None}, EnergyAnomaly(200, 100))
+        assert not VerdictRecord(0, 1, normal).alerted
+        assert VerdictRecord(0, 1, overloaded).alerted
+        assert VerdictRecord(0, 1, energy_only).alerted
 
 
 class TestReportAlert:

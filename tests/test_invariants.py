@@ -1,0 +1,134 @@
+"""Run invariants over seeded random scenarios from the hostile space.
+
+Each seed builds a small scenario with settings the happy-path tests avoid:
+latency up to 20 (often above the window), drop rates up to 1.0, batteries
+from 0 mJ with idle draw that can exceed them, horizons that are not a
+multiple of the window, ``quiesce_ticks=0`` and ``staleness_max=0``, in both
+modes. Every run must finish and keep the energy ledger, per-service load
+in dynamic plans, demand and the message count exact.
+"""
+
+import random
+
+import pytest
+
+from ubisim.engine import Engine, run_scenario
+from ubisim.scenario import parse_scenario
+from ubisim.simkernel import LocalDelivery, Simulation
+
+SEEDS = range(300)
+
+
+def hostile_scenario_text(seed):
+    rng = random.Random(seed)
+    n_nodes = rng.randint(2, 7)
+    services = [f"S{i}" for i in range(rng.randint(1, 3))]
+    caps = {s: rng.randint(1, 30) for s in services}
+    window = rng.randint(1, 12)
+    ticks = rng.randint(window, 6 * window + 5)
+    lines = ["[services]"]
+    lines += [f"name={s} capacity={caps[s]}" for s in services]
+    lines.append("[nodes]")
+    for i in range(n_nodes):
+        energy = rng.choice([0, 1, rng.randint(2, 60), rng.randint(500, 5000),
+                             rng.randint(500, 5000)])
+        lines.append(f"id={i} energy={energy}")
+    lines.append("[edges]")
+    edges = {(rng.randrange(i), i) for i in range(1, n_nodes)}
+    for _ in range(rng.randint(0, n_nodes)):
+        a, b = rng.sample(range(n_nodes), 2)
+        edges.add((min(a, b), max(a, b)))
+    lines += [f"a={a} b={b}" for a, b in sorted(edges)]
+    lines.append("[energy]")
+    idle = rng.choice([0, 1, 2, rng.randint(3, 70)])
+    lines.append(f"idle={idle} tx={rng.randint(0, 4)} rx={rng.randint(0, 3)} "
+                 f"request={rng.randint(0, 3)}")
+    lines.append("[workload]")
+    for _ in range(rng.randint(0, 6)):
+        lines.append(f"at={rng.randint(0, ticks)} node={rng.randrange(n_nodes)} "
+                     f"service={rng.choice(services)} n={rng.randint(0, 10)}")
+    lines.append("[inject]")
+    for _ in range(rng.randint(0, 6)):
+        svc = rng.choice(services)
+        lines.append(f"at={rng.randint(0, ticks)} node={rng.randrange(n_nodes)} "
+                     f"service={svc} load={rng.randint(0, 3 * caps[svc])}")
+    drop = rng.choice([0.0, 0.0, round(rng.random(), 3), 1.0])
+    lines.append("[run]")
+    lines.append(
+        f"ticks={ticks} window={window} mode={rng.choice(['dynamic', 'static'])} "
+        f"seed={seed} latency={rng.choice([1, 1, rng.randint(1, 20)])} drop={drop} "
+        f"report_every={rng.randint(1, 3)} quiesce_ticks={rng.randint(0, 4)} "
+        f"staleness_max={rng.randint(0, 3)} "
+        f"energy_tolerance={rng.choice(['0', '0.1', '0.15', '0.5'])}"
+    )
+    return "\n".join(lines) + "\n"
+
+
+def in_flight(log, latency, horizon):
+    """Sends due after the horizon, which are still queued when the run ends."""
+    late = 0
+    for line in log.lines:
+        tick, _seq, _target, kind = line.split(" ", 4)[:4]
+        if kind == "send" and int(tick) + latency > horizon:
+            late += 1
+    return late
+
+
+def observed_run(scenario, monkeypatch):
+    """``run_scenario`` with its engine kept and the radio counted.
+
+    A ``Simulation.send`` that returns has transmitted (and possibly dropped)
+    one message; every message that reaches the engine's hook over the air
+    was received.
+    """
+    engines, radio = [], {"tx": 0, "rx": 0}
+    send, on_message, run = Simulation.send, Engine._on_message, Engine.run
+
+    def counting_send(self, *args):
+        send(self, *args)
+        radio["tx"] += 1
+
+    def counting_on_message(self, msg):
+        if not isinstance(msg, LocalDelivery):
+            radio["rx"] += 1
+        on_message(self, msg)
+
+    def keeping_run(self):
+        engines.append(self)
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "send", counting_send)
+    monkeypatch.setattr(Engine, "_on_message", counting_on_message)
+    monkeypatch.setattr(Engine, "run", keeping_run)
+    report, log = run_scenario(scenario)
+    return engines[0], report, log, radio
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hostile_run_keeps_invariants(seed, monkeypatch):
+    scenario = parse_scenario(hostile_scenario_text(seed))
+    engine, _report, log, radio = observed_run(scenario, monkeypatch)
+
+    consumed = sum(log.initial_energy[n] - log.final_energy[n] for n in log.initial_energy)
+    assert consumed == log.total_debited
+    assert all(e >= 0 for e in log.final_energy.values())
+
+    for ep in log.episodes:
+        if ep.mode == "dynamic":
+            assert ep.totals_before == ep.totals_after, (ep.node, ep.window)
+
+    assert all(v >= 0 for d in engine.sim.demand.values() for v in d.values())
+
+    run = scenario.run
+    queued = in_flight(log, run.latency, run.ticks)
+    assert radio["tx"] == radio["rx"] + log.drops + log.dead_letters + queued
+
+
+def test_space_reaches_the_hostile_settings():
+    runs = [parse_scenario(hostile_scenario_text(seed)).run for seed in SEEDS]
+    assert any(r.latency > r.window for r in runs)
+    assert any(r.drop == 1.0 for r in runs)
+    assert any(r.ticks % r.window for r in runs)
+    assert any(r.quiesce_ticks == 0 and r.mode == "static" for r in runs)
+    assert any(r.staleness_max == 0 for r in runs)
+    assert {r.mode for r in runs} == {"dynamic", "static"}

@@ -70,6 +70,24 @@ class TestJainIndex:
         if j == 1 and sum(values):
             assert len(set(values)) == 1
 
+    @given(st.one_of(
+        st.lists(st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=0, max_value=10**3,
+                                        max_denominator=10**6)),
+                 min_size=1, max_size=30),
+        st.lists(st.just(Fraction(0)), min_size=1, max_size=30),
+    ))
+    @settings(deadline=None)
+    def test_fractions_match_naive_formula(self, values):
+        total = sum(values, Fraction(0))
+        if total == 0:
+            naive = Fraction(1)
+        else:
+            naive = total ** 2 / (len(values) * sum(x * x for x in values))
+        j = jain_index(values)
+        assert j == naive
+        assert type(j) is Fraction
+
 
 class TestDetectionStats:
     def test_reference_run_is_five_for_five(self):

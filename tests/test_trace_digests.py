@@ -3,6 +3,9 @@
 A refactor must leave every trace byte unchanged. These digests were
 recorded before the code that produces the traces was last simplified;
 a change that means to alter behaviour re-records them and says so.
+The trace does not carry the Jain indices, so ``report.jain_pairs`` is
+pinned by a digest of its own, recorded before ``jain_index`` moved to
+integer sums.
 """
 
 import hashlib
@@ -33,6 +36,11 @@ BUNDLED = {
 AC5_SEEDS_DIGEST = "ff9ba262379cf7c9898bc5d6e9cfb864e63b6a1842243a462267095bfed220b5"
 
 
+# sha256 of ``repr(report.jain_pairs)`` for the ten fig3_family scenarios in
+# sorted order, then seeds 0..99 of ``random_scenario_text``: 129 pairs
+JAIN_PAIRS_DIGEST = "6f428b222f3280d4872dac6c93bb1977a8f742fcc483dbeb279683976c36c9e7"
+
+
 def trace_of(text):
     _report, log = run_scenario(parse_scenario(text))
     return log.serialize().encode()
@@ -49,3 +57,14 @@ def test_ac5_seed_traces_are_pinned():
     for seed in range(100):
         h.update(trace_of(random_scenario_text(seed)))
     assert h.hexdigest() == AC5_SEEDS_DIGEST
+
+
+def test_jain_pairs_are_pinned():
+    texts = [bundled_scenario_text(name) for name in sorted(BUNDLED)
+             if name.startswith("fig3_family/")]
+    texts += [random_scenario_text(seed) for seed in range(100)]
+    h = hashlib.sha256()
+    for text in texts:
+        report, _log = run_scenario(parse_scenario(text))
+        h.update(repr(report.jain_pairs).encode())
+    assert h.hexdigest() == JAIN_PAIRS_DIGEST
