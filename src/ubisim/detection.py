@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import KeysView
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .model import EnergyParams, Service, SimulationError, Status
 from .simkernel import Unreachable
@@ -24,7 +23,7 @@ class UnknownNode(SimulationError):
     """The knowledge base has no baselines for the sampled node."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Overload:
     observed: int
     baseline: int
@@ -34,7 +33,7 @@ class Overload:
         return self.observed - self.baseline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyAnomaly:
     drawn: int
     expected: int
@@ -89,7 +88,7 @@ class KnowledgeBase:
         return expected + self.msg_budget.get(node, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class BehaviorSample:
     """One window's observed per-service load and energy draw for a node."""
 
@@ -99,30 +98,37 @@ class BehaviorSample:
     energy_drawn: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionVerdict:
+    """One node-window's comparison result.
+
+    ``overloaded`` holds the services of ``per_service`` that are not None.
+    It is built once, at construction, and takes no part in equality or the
+    repr; callers must not mutate it.
+    """
+
     node: int
     window: int
     per_service: dict[Service, Overload | None]  # None = normal
     energy_anomaly: EnergyAnomaly | None = None
+    overloaded: dict[Service, Overload] = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def overloaded(self) -> dict[Service, Overload]:
-        """The overloaded services, computed once; callers must not mutate it."""
-        return {s: o for s, o in self.per_service.items() if o is not None}
+    def __post_init__(self) -> None:
+        overloaded = {s: o for s, o in self.per_service.items() if o is not None}
+        object.__setattr__(self, "overloaded", overloaded)
 
     @property
     def all_normal(self) -> bool:
         return not self.overloaded and self.energy_anomaly is None
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionAgent:
     host: int
     controller: int
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictRecord:
     """Trace-side record of one verdict; any non-normal verdict is alerted."""
 

@@ -6,11 +6,23 @@ base, and reports (alerting on any overload). Alerts reach the cluster-head
 controller one latency tick later; the controller plans at most one
 reconfiguration per alerting node per window, applies it in the configured
 mode, and the episode is judged against the node's next-window sample.
+
+``Engine.__init__`` installs the engine's bound methods as the kernel's
+protocol hooks, so the engine and its Simulation refer to each other.
+``Engine.run`` puts the kernel's no-op hooks back when it returns or raises:
+a finished run holds no reference cycle, and reference counting alone frees
+it. Staged ``engine.sim.run_until`` calls keep the engine's hooks, because
+they do not go through ``Engine.run``. A run makes no cyclic garbage either,
+so ``Engine.__init__`` and ``Engine.run`` pause the cyclic collector, whose
+full passes would otherwise walk every record the run keeps, and restore the
+caller's setting when they return or raise.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -80,6 +92,18 @@ class EpisodeRecord:
     post_window: int | None = None
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector; restore the caller's setting on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class _Controller:
     """Cluster-head state: the view of the cluster and the plans made."""
 
@@ -93,6 +117,7 @@ class _Controller:
 class Engine:
     """One scenario wired into one Simulation instance."""
 
+    @_collector_paused()
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         run = scenario.run
@@ -137,8 +162,12 @@ class Engine:
         self.sim.on_message = self._on_message
         self.sim.on_depleted = self._on_depleted
 
+    @_collector_paused()
     def run(self) -> RunLog:
-        return self.sim.run_until(self.scenario.run.ticks)
+        try:
+            return self.sim.run_until(self.scenario.run.ticks)
+        finally:
+            self.sim.clear_hooks()
 
     # -- boundary processing --
 
@@ -287,14 +316,12 @@ class Engine:
 
     def _jain(self, service: Service, nodes, loads: dict[int, int]) -> Fraction:
         """Exact Jain index over the cluster's load/capacity ratios."""
-        ratios = []
+        pairs = []
         for n in nodes:
             cap = self.sim.devices[n].capacities.get(service, 0)
             if cap > 0:
-                ratios.append(Fraction(loads.get(n, 0), cap))
-        if not ratios:
-            return Fraction(1)
-        return metrics.jain_index(ratios)
+                pairs.append((loads.get(n, 0), cap))
+        return metrics.jain_index_of_pairs(pairs) if pairs else Fraction(1)
 
     # -- depletion / re-formation --
 

@@ -24,21 +24,35 @@ def jain_index(values):
     Lies in [1/n, 1] and equals 1 iff all entries are equal. An all-zero
     list is perfectly balanced nothing and reports 1 by convention. The
     result always has the type a true division of the inputs gives:
-    Fraction inputs stay exact, floats and ints give a float.
-
-    A list of Fractions is put over one common denominator D, x_i = a_i / D,
-    so the index is T^2 / (n * S) with T the sum of the integer numerators
-    a_i and S the sum of their squares: integer sums and a single Fraction
-    at the end, which normalises to the same value as summing Fractions.
+    Fraction inputs stay exact, floats and ints give a float. A list of
+    Fractions is computed exactly by ``jain_index_of_pairs`` from each
+    value's numerator and denominator.
     """
+    if all(isinstance(v, Fraction) for v in values):
+        return jain_index_of_pairs([(v.numerator, v.denominator) for v in values])
+    return _jain(values, operator.truediv)
+
+
+def jain_index_of_pairs(pairs):
+    """Exact Jain index, as a Fraction, of the ratios load / capacity.
+
+    ``pairs`` holds integer (load, capacity) pairs with positive capacities.
+    The ratios are put over one common denominator D, the lcm of the
+    capacities, as x_i = a_i / D, so the index is T^2 / (n * S) with T the
+    sum of the integer numerators a_i and S the sum of their squares:
+    integer sums and a single Fraction at the end.
+    """
+    caps = [cap for _load, cap in pairs]
+    if any(cap <= 0 for cap in caps):
+        raise ValueError("jain_index capacities must be positive")
+    common = math.lcm(*caps)
+    return _jain([load * (common // cap) for load, cap in pairs], Fraction)
+
+
+def _jain(values, divide):
+    """(sum x)^2 / (n * sum x^2) as ``divide`` gives it; 1 when every x is 0."""
     if not values:
         raise ValueError("jain_index needs at least one value")
-    if all(isinstance(v, Fraction) for v in values):
-        common = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (common // v.denominator) for v in values]
-        divide = Fraction
-    else:
-        divide = operator.truediv
     if any(v < 0 for v in values):
         raise ValueError("jain_index values must be non-negative")
     total = sum(values)

@@ -55,7 +55,7 @@ class EnergyParams:
         return self.per_request.get(service, self.default_per_request)
 
 
-@dataclass
+@dataclass(slots=True)
 class Activity:
     """A device's billable activity over a span of ``ticks`` ticks.
 

@@ -22,6 +22,10 @@ billing every tick would have: a skipped span cannot empty the battery
 before its last tick. Ticks are settled when the clock first moves past
 them; within a tick, devices are billed in id order, so ``depleted`` lines
 and the ``on_depleted`` hook keep their place in the trace.
+
+The protocol hooks are the engine's only for the length of ``Engine.run``,
+which puts the kernel's no-ops back when it returns or raises, so a finished
+Simulation holds no reference to its engine.
 """
 
 from __future__ import annotations
@@ -62,31 +66,31 @@ class SenderDepleted(SimulationError):
 # --- event payloads ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowBoundary:
     window: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrival:
     node: int
     service: Service
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InjectOverload:
     node: int
     service: Service
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resume:
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     sender: int
     receiver: int
@@ -99,7 +103,7 @@ class Message:
             raise ValueError("a message cannot be sent to its own sender")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalDelivery:
     """Head-local report from the head's own agent; bypasses the radio."""
 
@@ -108,7 +112,7 @@ class LocalDelivery:
     payload: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MsgDeliver:
     message: Message
 
@@ -116,7 +120,7 @@ class MsgDeliver:
 Payload = Union[WindowBoundary, Arrival, InjectOverload, Resume, MsgDeliver]
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     time: int
     seq: int
@@ -146,7 +150,7 @@ class EventQueue:
 # --- structured run records --------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class InjectionRecord:
     tick: int
     window: int
@@ -193,6 +197,10 @@ class RunLog:
 # --- the kernel ---------------------------------------------------------------
 
 
+def _no_hook(_arg: object) -> None:
+    """A protocol hook that ignores its window, message or node."""
+
+
 class Simulation:
     """Single-threaded deterministic simulation instance.
 
@@ -200,7 +208,8 @@ class Simulation:
     generator, the cluster registry used for reachability checks, and the
     per-node standing demand table that reseeds device loads at every window
     boundary. Protocol behavior (agents, controllers) is attached through
-    the ``on_boundary``/``on_message``/``on_depleted`` hooks.
+    the ``on_boundary``/``on_message``/``on_depleted`` hooks, which are
+    no-ops until an engine installs its own and again after ``clear_hooks``.
     """
 
     def __init__(
@@ -251,10 +260,14 @@ class Simulation:
             self.log.window_energy[d.id] = []
             self.log.window_served[d.id] = []
             self.log.downtime[d.id] = 0
-        # protocol hooks, installed by the engine
-        self.on_boundary: Callable[[int], None] = lambda window: None
-        self.on_message: Callable[[object], None] = lambda msg: None
-        self.on_depleted: Callable[[int], None] = lambda node: None
+        self.on_boundary: Callable[[int], None]
+        self.on_message: Callable[[object], None]
+        self.on_depleted: Callable[[int], None]
+        self.clear_hooks()
+
+    def clear_hooks(self) -> None:
+        """Install the no-op protocol hooks every Simulation starts with."""
+        self.on_boundary = self.on_message = self.on_depleted = _no_hook
 
     # -- logging --
 

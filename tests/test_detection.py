@@ -286,6 +286,45 @@ class TestKnowledgeBaseIndex:
             kb.baseline_for(2, "Print")
 
 
+# The shapes of every DetectionVerdict(...) call in the tests, with the repr
+# each had while ``overloaded`` was a property rather than a field.
+VERDICT_REPRS = [
+    (dict(node=1, window=0, per_service={"View": None}),
+     "DetectionVerdict(node=1, window=0, per_service={'View': None}, energy_anomaly=None)"),
+    (dict(node=1, window=0, per_service={"View": Overload(124, 123)}),
+     "DetectionVerdict(node=1, window=0, per_service={'View': Overload(observed=124, "
+     "baseline=123)}, energy_anomaly=None)"),
+    (dict(node=1, window=0, per_service={"View": None}, energy_anomaly=EnergyAnomaly(200, 100)),
+     "DetectionVerdict(node=1, window=0, per_service={'View': None}, "
+     "energy_anomaly=EnergyAnomaly(drawn=200, expected=100))"),
+    (dict(node=1, window=1, per_service={"Print": None}),
+     "DetectionVerdict(node=1, window=1, per_service={'Print': None}, energy_anomaly=None)"),
+    (dict(node=1, window=1, per_service={"Print": Overload(50, 34)}),
+     "DetectionVerdict(node=1, window=1, per_service={'Print': Overload(observed=50, "
+     "baseline=34)}, energy_anomaly=None)"),
+    (dict(node=3, window=2, per_service={"Print": Overload(50, 34), "Scan": None,
+                                         "View": Overload(150, 123)}),
+     "DetectionVerdict(node=3, window=2, per_service={'Print': Overload(observed=50, "
+     "baseline=34), 'Scan': None, 'View': Overload(observed=150, baseline=123)}, "
+     "energy_anomaly=None)"),
+]
+
+
+class TestDetectionVerdict:
+    @pytest.mark.parametrize("kwargs,expected_repr", VERDICT_REPRS)
+    def test_overloaded_is_per_service_without_normals(self, kwargs, expected_repr):
+        verdict = DetectionVerdict(**kwargs)
+        per_service = kwargs["per_service"]
+        assert verdict.overloaded == {s: o for s, o in per_service.items() if o is not None}
+        assert repr(verdict) == expected_repr
+        assert verdict == DetectionVerdict(**kwargs)
+        assert verdict != DetectionVerdict(**{**kwargs, "per_service": {"Other": None}})
+
+    def test_overloaded_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            DetectionVerdict(1, 0, {"View": None}, None, {})
+
+
 class TestVerdictRecord:
     def test_alerted_iff_verdict_is_not_all_normal(self):
         normal = DetectionVerdict(1, 0, {"View": None})

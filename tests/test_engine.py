@@ -1,11 +1,22 @@
 """End-to-end protocol paths: re-formation on head death, deferred plans,
-energy-anomaly alerts, and lossy-radio robustness."""
+energy-anomaly alerts, lossy-radio robustness, and a finished run's memory."""
 
-from ubisim.cli import load_bundled_scenario
+import gc
+
+import pytest
+
+import ubisim.engine
+from ubisim import detection, model, simkernel
+from ubisim.cli import bundled_scenario_text, load_bundled_scenario
 from ubisim.engine import Engine, run_scenario
-from ubisim.model import Status
+from ubisim.metrics import build_report
+from ubisim.model import EnergyParams, Status
 from ubisim.reconfig import Outcome
 from ubisim.scenario import parse_scenario
+from ubisim.simkernel import Simulation
+
+from test_invariants import hostile_scenario_text
+from test_trace_digests import BUNDLED
 
 # Node 0 wins the election (500 > 499) and burns out serving its own
 # 20-request standing workload around t=49; the survivors re-cluster under
@@ -163,3 +174,116 @@ class TestReportEvery:
         ]
         # members report at windows 0 and 2 only: 5 members * 2 windows
         assert len(report_sends) == 10
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's collector setting, enabled or disabled, restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def assert_no_op_hooks(sim):
+    no_op = Simulation([], EnergyParams()).on_boundary
+    assert (sim.on_boundary, sim.on_message, sim.on_depleted) == (no_op,) * 3
+
+
+class TestCollectorPause:
+    def test_build_and_run_pause_and_restore_the_collector(self, collector, monkeypatch):
+        seen = {"init": [], "run": []}
+        form_clusters = ubisim.engine.form_clusters
+
+        def spying_form_clusters(*args):
+            seen["init"].append(gc.isenabled())
+            return form_clusters(*args)
+
+        monkeypatch.setattr(ubisim.engine, "form_clusters", spying_form_clusters)
+        engine = Engine(load_bundled_scenario())
+        assert gc.isenabled() is collector
+        on_boundary = engine.sim.on_boundary
+
+        def spying_on_boundary(window):
+            seen["run"].append(gc.isenabled())
+            on_boundary(window)
+
+        engine.sim.on_boundary = spying_on_boundary
+        engine.run()
+        assert gc.isenabled() is collector
+        assert seen == {"init": [False], "run": [False] * 4}
+        assert_no_op_hooks(engine.sim)
+
+    def test_raising_hook_restores_collector_and_hooks(self, collector, monkeypatch):
+        def failing_on_boundary(self, window):
+            raise RuntimeError("hook failed")
+
+        monkeypatch.setattr(Engine, "_on_boundary", failing_on_boundary)
+        engine = Engine(load_bundled_scenario())
+        with pytest.raises(RuntimeError, match="hook failed"):
+            engine.run()
+        assert gc.isenabled() is collector
+        assert_no_op_hooks(engine.sim)
+
+    def test_staged_runs_keep_the_engine_hooks(self):
+        engine = Engine(load_bundled_scenario())
+        engine.sim.run_until(15)
+        assert engine.sim.on_boundary == engine._on_boundary
+        engine.run()
+        assert_no_op_hooks(engine.sim)
+
+
+@pytest.mark.parametrize("record", [
+    simkernel.Event, simkernel.WindowBoundary, simkernel.Arrival, simkernel.InjectOverload,
+    simkernel.Resume, simkernel.Message, simkernel.LocalDelivery, simkernel.MsgDeliver,
+    simkernel.InjectionRecord, model.Activity, detection.Overload, detection.EnergyAnomaly,
+    detection.BehaviorSample, detection.DetectionAgent, detection.VerdictRecord,
+    detection.DetectionVerdict,
+], ids=lambda cls: cls.__name__)
+def test_per_node_window_records_have_slots(record):
+    # made once per event or node-window: no per-instance __dict__
+    assert "__slots__" in vars(record)
+
+
+# Seeds 0-59 of the hostile generator re-form clusters and defer plans on
+# stale views; 848, 1380 and 2251 also report to a depleted controller.
+GARBAGE_SEEDS = [*range(60), 848, 1380, 2251]
+GARBAGE_TEXTS = {name: bundled_scenario_text(name) for name in sorted(BUNDLED)}
+GARBAGE_TEXTS.update((f"hostile-{seed}", hostile_scenario_text(seed)) for seed in GARBAGE_SEEDS)
+
+
+def garbage_scenario(name, mode):
+    scenario = parse_scenario(GARBAGE_TEXTS[name])
+    scenario.run.mode = mode
+    return scenario
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+@pytest.mark.parametrize("name", list(GARBAGE_TEXTS))
+def test_finished_run_leaves_no_cyclic_garbage(name, mode):
+    # reference counting alone must free a run, so the run can go without
+    # the cyclic collector
+    scenario = garbage_scenario(name, mode)
+    gc.freeze()  # the collections below walk only what the run makes
+    try:
+        engine = Engine(scenario)
+        log = engine.run()
+        report = build_report(log)
+        assert gc.collect() == 0  # nothing the run made became garbage
+        del engine, log, report
+        assert gc.collect() == 0  # and dropping it leaves no cycle behind
+    finally:
+        gc.unfreeze()
+
+
+def test_garbage_runs_reach_reformation_defer_and_unreachable():
+    kinds = set()
+    for name in GARBAGE_TEXTS:
+        for mode in ("dynamic", "static"):
+            _report, log = run_scenario(garbage_scenario(name, mode))
+            line_kinds = [line.split()[3] for line in log.lines]
+            first_other = next(i for i, k in enumerate(line_kinds) if k != "cluster")
+            if "cluster" in line_kinds[first_other:]:
+                kinds.add("reformation")
+            kinds.update(line_kinds)
+    assert {"reformation", "defer", "unreachable"} <= kinds

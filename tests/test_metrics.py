@@ -12,6 +12,7 @@ from ubisim.metrics import (
     energy_report,
     format_summary,
     jain_index,
+    jain_index_of_pairs,
 )
 from ubisim.model import EnergyParams
 from ubisim.scenario import parse_scenario
@@ -87,6 +88,26 @@ class TestJainIndex:
         j = jain_index(values)
         assert j == naive
         assert type(j) is Fraction
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**4),
+                              st.integers(min_value=1, max_value=10**4)),
+                    min_size=1, max_size=30))
+    @settings(deadline=None)
+    def test_pairs_match_naive_formula(self, pairs):
+        ratios = [Fraction(load, cap) for load, cap in pairs]
+        total = sum(ratios, Fraction(0))
+        if total == 0:
+            naive = Fraction(1)
+        else:
+            naive = total ** 2 / (len(ratios) * sum(x * x for x in ratios))
+        j = jain_index_of_pairs(pairs)
+        assert j == naive
+        assert type(j) is Fraction
+
+    @pytest.mark.parametrize("pairs", [[], [(1, 2), (-1, 3)], [(1, 2), (1, 0)], [(1, -2)]])
+    def test_pairs_validation(self, pairs):
+        with pytest.raises(ValueError):
+            jain_index_of_pairs(pairs)
 
 
 class TestDetectionStats:
