@@ -23,7 +23,7 @@ class UnknownNode(SimulationError):
     """The knowledge base has no baselines for the sampled node."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Overload:
     observed: int
     baseline: int
@@ -50,10 +50,12 @@ class KnowledgeBase:
     messages (reports out of members, reports/directives through heads).
 
     ``baseline`` is read once, at construction, into a per-node index of
-    capacities, which is then its only owner, and ``energy_tolerance`` into
-    the exact fraction its decimal literal names; nothing in the simulator
-    changes either afterwards, and a caller that does must build a new
-    KnowledgeBase.
+    capacities, which is then its only owner; ``energy_tolerance`` into the
+    integer numerator and denominator of the exact fraction its decimal
+    literal names; and ``window`` and ``params.idle_per_tick`` into the
+    window's idle cost. Nothing in the simulator changes any of them
+    afterwards, and a caller that does must build a new KnowledgeBase.
+    ``msg_budget`` and the per-request costs are read at each comparison.
     """
 
     baseline: InitVar[dict[tuple[int, Service], int]]
@@ -68,7 +70,9 @@ class KnowledgeBase:
         self._capacities = {}
         for (node, svc), cap in sorted(baseline.items(), key=lambda kv: kv[0][1]):
             self._capacities.setdefault(node, {})[svc] = cap
-        self._tolerance = Fraction(str(self.energy_tolerance))
+        tolerance = Fraction(str(self.energy_tolerance))
+        self._tol_num, self._tol_den = tolerance.numerator, tolerance.denominator
+        self._idle_per_window = self.window * self.params.idle_per_tick
 
     def nodes(self) -> KeysView[int]:
         """The nodes with at least one baseline, as a read-only view."""
@@ -82,9 +86,10 @@ class KnowledgeBase:
         return self._capacities[node][service]
 
     def expected_energy(self, node: int, served: dict[Service, int]) -> int:
-        expected = self.window * self.params.idle_per_tick
+        cost, default = self.params.per_request.get, self.params.default_per_request
+        expected = self._idle_per_window
         for svc, count in served.items():
-            expected += self.params.request_cost(svc) * count
+            expected += cost(svc, default) * count
         return expected + self.msg_budget.get(node, 0)
 
 
@@ -98,13 +103,13 @@ class BehaviorSample:
     energy_drawn: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DetectionVerdict:
     """One node-window's comparison result.
 
     ``overloaded`` holds the services of ``per_service`` that are not None.
     It is built once, at construction, and takes no part in equality or the
-    repr; callers must not mutate it.
+    repr; callers must not mutate it or any other field.
     """
 
     node: int
@@ -114,8 +119,7 @@ class DetectionVerdict:
     overloaded: dict[Service, Overload] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        overloaded = {s: o for s, o in self.per_service.items() if o is not None}
-        object.__setattr__(self, "overloaded", overloaded)
+        self.overloaded = {s: o for s, o in self.per_service.items() if o is not None}
 
     @property
     def all_normal(self) -> bool:
@@ -167,9 +171,13 @@ def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
 
 def collect(agent: DetectionAgent, window: int, observed: dict[Service, int],
             energy_drawn: int) -> BehaviorSample:
-    """Package the window's served load and energy draw for the agent's host."""
+    """Package the window's served load and energy draw for the agent's host.
+
+    ``observed`` becomes the sample's own field, not a copy: it is the
+    node-window's one served dict, which no holder mutates in place.
+    """
     return BehaviorSample(
-        node=agent.host, window=window, observed=dict(observed), energy_drawn=energy_drawn
+        node=agent.host, window=window, observed=observed, energy_drawn=energy_drawn
     )
 
 
@@ -190,8 +198,8 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
         per_service[svc] = Overload(observed, base) if observed > base else None
     expected = kb.expected_energy(sample.node, sample.observed)
     anomaly = None
-    num, den = kb._tolerance.numerator, kb._tolerance.denominator
-    if sample.energy_drawn * den > expected * (den + num):
+    den = kb._tol_den
+    if sample.energy_drawn * den > expected * (den + kb._tol_num):
         anomaly = EnergyAnomaly(drawn=sample.energy_drawn, expected=expected)
     return DetectionVerdict(
         node=sample.node, window=sample.window, per_service=per_service,

@@ -188,15 +188,16 @@ class Engine:
             verdicts[host] = verdict
             record = VerdictRecord(window, host, verdict)
             sim.log.verdicts.append(record)
+            if not record.alerted:
+                sim.emit(sim.clock, host, "verdict", f"window={window} normal")
+                continue
             detail = " ".join(
                 f"{svc}={o.observed}/{o.baseline}" for svc, o in verdict.overloaded.items()
             )
             if verdict.energy_anomaly is not None:
                 a = verdict.energy_anomaly
                 detail = (detail + f" energy={a.drawn}/{a.expected}").strip()
-            sim.emit(sim.clock, host, "verdict",
-                     f"window={window} {'overload' if record.alerted else 'normal'}"
-                     + (f" {detail}" if detail else ""))
+            sim.emit(sim.clock, host, "verdict", f"window={window} overload {detail}")
         self._resolve_pending(window, samples)
         for host in sorted(verdicts):
             agent = self.agents[host]

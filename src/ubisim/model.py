@@ -69,9 +69,6 @@ class Activity:
     msgs_rx: int = 0
     ticks: int = 1
 
-    def add_served(self, service: Service, count: int) -> None:
-        self.requests_served[service] = self.requests_served.get(service, 0) + count
-
 
 @dataclass
 class DeviceState:

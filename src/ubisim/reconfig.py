@@ -57,17 +57,26 @@ class ClusterView:
     entries: dict[int, ViewEntry] = field(default_factory=dict)
 
     def observe(self, node: int, load: dict[Service, int], window: int) -> None:
+        """Take ``load`` as the node's last-known load, without copying it.
+
+        ``load`` is a node-window's one served dict, shared with the sample
+        and the run log, so the view never mutates it in place.
+        """
         entry = self.entries[node]
-        entry.load = dict(load)
+        entry.load = load
         entry.window = window
         entry.status = Status.RUNNING
 
     def adjust(self, service: Service, source: int, dest: int, amount: int) -> None:
-        """Fold an applied directive back into the last-known loads."""
+        """Fold an applied directive back into the last-known loads.
+
+        Each changed entry gets a new dict: the old one may be a shared
+        served dict (see ``observe``).
+        """
         for node, delta in ((source, -amount), (dest, amount)):
             entry = self.entries.get(node)
             if entry is not None and entry.load is not None:
-                entry.load[service] = entry.load.get(service, 0) + delta
+                entry.load = {**entry.load, service: entry.load.get(service, 0) + delta}
 
 
 @dataclass(frozen=True)

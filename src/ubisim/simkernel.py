@@ -90,7 +90,7 @@ class Resume:
     node: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     sender: int
     receiver: int
@@ -112,7 +112,7 @@ class LocalDelivery:
     payload: object = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MsgDeliver:
     message: Message
 
@@ -172,6 +172,10 @@ class RunLog:
     ``lines`` is the line-oriented trace (`tick seq target kind details...`);
     the typed lists mirror the protocol-level happenings for the metrics
     module. Serialization is deterministic, so equal logs mean equal runs.
+
+    ``window_served[node][window]`` is the one served dict of that
+    node-window: the sample, the agent's report and the controller's view
+    hold the same object, and none of them mutates it in place.
     """
 
     lines: list[str] = field(default_factory=list)
@@ -206,10 +210,13 @@ class Simulation:
 
     The kernel owns the devices, the clock, the event queue, the seeded
     generator, the cluster registry used for reachability checks, and the
-    per-node standing demand table that reseeds device loads at every window
-    boundary. Protocol behavior (agents, controllers) is attached through
-    the ``on_boundary``/``on_message``/``on_depleted`` hooks, which are
-    no-ops until an engine installs its own and again after ``clear_hooks``.
+    per-node standing demand table. Arrivals and migrations change the table
+    and the device loads by the same amounts, so it mirrors the loads and is
+    never read back into them; it stays as the reference the benchmark gate
+    checks loads against. Protocol behavior (agents, controllers) is
+    attached through the ``on_boundary``/``on_message``/``on_depleted``
+    hooks, which are no-ops until an engine installs its own and again
+    after ``clear_hooks``.
     """
 
     def __init__(
@@ -253,7 +260,7 @@ class Simulation:
         self._flushed_through = -1
         self._cursor: Optional[int] = None  # node being billed mid-tick
         self._queue_depletions(self._ids, -1)
-        self.window_acc: dict[int, int] = {d.id: 0 for d in devices}
+        self.window_acc: dict[int, int] = dict.fromkeys(self._ids, 0)
         self.served_snapshot: dict[int, dict[Service, int]] = {}
         self.log.initial_energy = {d.id: d.energy_mj for d in devices}
         for d in devices:
@@ -465,11 +472,9 @@ class Simulation:
             if window_last:
                 if dev.status is Status.RUNNING:
                     served = dict(dev.load)
-                    for s, c in served.items():
-                        if c:
-                            act.add_served(s, c)
+                    act.requests_served = {s: c for s, c in served.items() if c}
                 else:  # quiesced devices serve nothing
-                    served = {s: 0 for s in dev.load}
+                    served = dict.fromkeys(dev.load, 0)
                 self.served_snapshot[nid] = served
             self._cursor = nid
             self._bill(dev, act, tt)
@@ -540,16 +545,17 @@ class Simulation:
         self.on_message(msg)
 
     def _close_window(self, window: int) -> None:
-        """Archive served samples, roll energy accumulators, reseed demand."""
+        """Archive the window's energy and served samples; reset the accumulators.
+
+        Each served dict is archived as the object ``_bill_tick`` built, not a
+        copy; nothing mutates it afterwards. Device loads carry over to the
+        next window as they stand.
+        """
+        window_energy, window_served = self.log.window_energy, self.log.window_served
+        served = self.served_snapshot
         for nid in self._ids:
-            dev = self.devices[nid]
-            self.log.window_energy[nid].append(self.window_acc[nid])
-            self.log.window_served[nid].append(dict(self.served_snapshot.get(nid, {})))
-            self.window_acc[nid] = 0
-            if dev.status is Status.DEPLETED:
-                continue
-            for s, n in self.demand[nid].items():
-                dev.load[s] = n
+            window_energy[nid].append(self.window_acc[nid])
+            window_served[nid].append(served.get(nid, {}))
+        self.window_acc = dict.fromkeys(self._ids, 0)
         self.served_snapshot = {}
         self.log.windows_completed = window + 1
-

@@ -15,7 +15,7 @@ from ubisim.reconfig import Outcome
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import Simulation
 
-from test_invariants import hostile_scenario_text
+from test_invariants import UNREACHABLE_SEEDS, hostile_scenario_text
 from test_trace_digests import BUNDLED
 
 # Node 0 wins the election (500 > 499) and burns out serving its own
@@ -246,8 +246,8 @@ def test_per_node_window_records_have_slots(record):
 
 
 # Seeds 0-59 of the hostile generator re-form clusters and defer plans on
-# stale views; 848, 1380 and 2251 also report to a depleted controller.
-GARBAGE_SEEDS = [*range(60), 848, 1380, 2251]
+# stale views; the unreachable seeds also report to a depleted controller.
+GARBAGE_SEEDS = [*range(60), *UNREACHABLE_SEEDS]
 GARBAGE_TEXTS = {name: bundled_scenario_text(name) for name in sorted(BUNDLED)}
 GARBAGE_TEXTS.update((f"hostile-{seed}", hostile_scenario_text(seed)) for seed in GARBAGE_SEEDS)
 

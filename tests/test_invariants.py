@@ -6,17 +6,27 @@ from 0 mJ with idle draw that can exceed them, horizons that are not a
 multiple of the window, ``quiesce_ticks=0`` and ``staleness_max=0``, in both
 modes. Every run must finish and keep the energy ledger, per-service load
 in dynamic plans, demand and the message count exact.
+
+A node-window's served dict is one object shared by the sample, the
+controller's view and ``RunLog.window_served``; the overloads every verdict
+saw must still be what the log archived, here and on the bundled scenarios.
 """
 
 import random
 
 import pytest
 
+from ubisim.cli import bundled_scenario_text
 from ubisim.engine import Engine, run_scenario
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import LocalDelivery, Simulation
 
-SEEDS = range(300)
+from test_trace_digests import BUNDLED
+
+# 848, 1380 and 2251 are the first seeds past 299 whose agents report to a
+# depleted controller (the ``unreachable`` path of ``Engine._on_boundary``)
+UNREACHABLE_SEEDS = [848, 1380, 2251]
+SEEDS = [*range(300), *UNREACHABLE_SEEDS]
 
 
 def hostile_scenario_text(seed):
@@ -104,6 +114,14 @@ def observed_run(scenario, monkeypatch):
     return engines[0], report, log, radio
 
 
+def assert_overloads_match_served(log):
+    """Each verdict's overloads equal the served counts the log archived."""
+    for vr in log.verdicts:
+        served = log.window_served[vr.node][vr.window]
+        for svc, o in vr.verdict.overloaded.items():
+            assert o.observed == served[svc], (vr.node, vr.window, svc)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostile_run_keeps_invariants(seed, monkeypatch):
     scenario = parse_scenario(hostile_scenario_text(seed))
@@ -117,11 +135,31 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
         if ep.mode == "dynamic":
             assert ep.totals_before == ep.totals_after, (ep.node, ep.window)
 
-    assert all(v >= 0 for d in engine.sim.demand.values() for v in d.values())
+    sim = engine.sim
+    assert all(v >= 0 for d in sim.demand.values() for v in d.values())
+    assert all(sim.demand[n] == dev.load for n, dev in sim.devices.items())
+    assert_overloads_match_served(log)
 
     run = scenario.run
     queued = in_flight(log, run.latency, run.ticks)
     assert radio["tx"] == radio["rx"] + log.drops + log.dead_letters + queued
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundled_overloads_match_served(name, mode):
+    scenario = parse_scenario(bundled_scenario_text(name))
+    scenario.run.mode = mode
+    _report, log = run_scenario(scenario)
+    assert_overloads_match_served(log)
+
+
+def test_unreachable_seeds_report_to_a_depleted_controller():
+    kinds = set()
+    for seed in UNREACHABLE_SEEDS:
+        _report, log = run_scenario(parse_scenario(hostile_scenario_text(seed)))
+        kinds.update(line.split()[3] for line in log.lines)
+    assert "unreachable" in kinds
 
 
 def test_space_reaches_the_hostile_settings():

@@ -54,6 +54,19 @@ def brute_force_min_residual(excess, spares):
     return best
 
 
+class TestClusterView:
+    def test_adjust_leaves_the_observed_dict_unchanged(self):
+        # the observed dict is the node-window's served sample, shared with
+        # the run log; a directive folded back must not rewrite it
+        view = view_of({0: ({"S": 10}, {"S": 0}), 1: ({"S": 10}, {"S": 0})})
+        served_0, served_1 = {"S": 14}, {"S": 2}
+        view.observe(0, served_0, window=3)
+        view.observe(1, served_1, window=3)
+        view.adjust("S", source=0, dest=1, amount=4)
+        assert served_0 == {"S": 14} and served_1 == {"S": 2}
+        assert view.entries[0].load == {"S": 10} and view.entries[1].load == {"S": 6}
+
+
 class TestPlanReconfiguration:
     def test_single_peer_absorbs_excess(self):
         view = view_of({

@@ -223,6 +223,7 @@ def test_window_boundary_resets_and_reseeds():
     sim.schedule(10, KERNEL, WindowBoundary(0))
     sim.schedule(3, 1, Arrival(1, "Print", 4))
     sim.run_until(20)
-    # served snapshot archived, load reseeded from standing demand
+    # served snapshot archived; the load carries over, equal to the standing demand
     assert sim.log.window_served[1] == [{"Print": 4}]
     assert sim.devices[1].load["Print"] == 4
+    assert sim.demand[1] == sim.devices[1].load
