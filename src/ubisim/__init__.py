@@ -35,6 +35,6 @@ from .reconfig import (
     plan_reconfiguration,
 )
 from .scenario import ParseError, Scenario, parse_scenario, serialize_scenario
-from .simkernel import Event, EventQueue, Message, RunLog, Simulation
+from .simkernel import Event, Message, RunLog, Simulation
 
 __version__ = "0.1.0"

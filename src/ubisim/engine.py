@@ -74,7 +74,11 @@ class ServiceEpisode:
 
 @dataclass
 class EpisodeRecord:
-    """One applied reconfiguration plan and its eventual outcome."""
+    """One applied reconfiguration plan and its eventual outcome.
+
+    The after totals and Jain indices are copies of the before ones when no
+    directive moved a non-zero amount, the only way a plan changes loads.
+    """
 
     window: int
     node: int
@@ -105,11 +109,16 @@ def _collector_paused():
 
 
 class _Controller:
-    """Cluster-head state: the view of the cluster and the plans made."""
+    """Cluster-head state: the view of the cluster and the plans made.
+
+    ``nodes`` lists the cluster's nodes, head included, in id order: the
+    nodes its view was built from. Re-formation replaces the controller.
+    """
 
     def __init__(self, head: int, nodes, kb):
         self.head = head
         entries = {n: ViewEntry(node=n, capacities=kb.capacities(n)) for n in sorted(nodes)}
+        self.nodes = list(entries)
         self.view = ClusterView(head=head, entries=entries)
         self.planned: set[tuple[int, int]] = set()
 
@@ -250,6 +259,8 @@ class Engine:
                 self._handle_alert(controller, verdict)
 
     def _handle_alert(self, controller: _Controller, verdict: DetectionVerdict) -> None:
+        """Plan, apply and record one correction; the cluster's loads are read
+        again after the plan only when a directive moved a non-zero amount."""
         sim = self.sim
         key = (verdict.node, verdict.window)
         if key in controller.planned:
@@ -267,19 +278,21 @@ class Engine:
             sim.emit(sim.clock, controller.head, "defer",
                      f"node={verdict.node} window={verdict.window}")
             return
-        cluster_nodes = sorted({controller.head} | sim.clusters.get(controller.head, set()))
-        before = self._loads(cluster_nodes, plan.excess)
+        totals_before, jain_before = self._balance(controller.nodes, plan.excess)
         if self.mode is Mode.DYNAMIC:
             result = apply_dynamic(plan, sim)
             downtime = 0
         else:
             result = apply_static(plan, sim, self.scenario.run.quiesce_ticks)
             downtime = self.scenario.run.quiesce_ticks if result.involved else 0
-        after = self._loads(cluster_nodes, plan.excess)
         for directive, amount in result.executed:
             if amount:
                 controller.view.adjust(directive.service, directive.source,
                                        directive.dest, amount)
+        if any(amount for _directive, amount in result.executed):
+            totals_after, jain_after = self._balance(controller.nodes, plan.excess)
+        else:
+            totals_after, jain_after = dict(totals_before), dict(jain_before)
         episode = EpisodeRecord(
             window=verdict.window,
             node=verdict.node,
@@ -295,34 +308,32 @@ class Engine:
             },
             involved=result.involved,
             downtime_ticks=downtime,
-            totals_before={s: sum(v.values()) for s, v in before.items()},
-            totals_after={s: sum(v.values()) for s, v in after.items()},
-            jain_before={s: self._jain(s, cluster_nodes, v) for s, v in before.items()},
-            jain_after={s: self._jain(s, cluster_nodes, v) for s, v in after.items()},
+            totals_before=totals_before,
+            totals_after=totals_after,
+            jain_before=jain_before,
+            jain_after=jain_after,
             verdict=verdict,
         )
         sim.log.episodes.append(episode)
         self.pending.setdefault(verdict.node, []).append(episode)
-        moved = sum(m for m in result.moved.values())
+        moved = sum(result.moved.values())
         sim.emit(sim.clock, controller.head, "plan",
                  f"node={verdict.node} window={verdict.window} "
                  f"directives={len(plan.directives)} moved={moved} "
                  f"residual={sum(result.residual.values())}")
 
-    def _loads(self, nodes, services) -> dict[Service, dict[int, int]]:
-        return {
-            svc: {n: self.sim.devices[n].load.get(svc, 0) for n in nodes}
-            for svc in services
-        }
-
-    def _jain(self, service: Service, nodes, loads: dict[int, int]) -> Fraction:
-        """Exact Jain index over the cluster's load/capacity ratios."""
-        pairs = []
-        for n in nodes:
-            cap = self.sim.devices[n].capacities.get(service, 0)
-            if cap > 0:
-                pairs.append((loads.get(n, 0), cap))
-        return metrics.jain_index_of_pairs(pairs) if pairs else Fraction(1)
+    def _balance(self, nodes, services):
+        """Per service: the total load over ``nodes`` and the exact Jain index
+        of their load/capacity ratios, nodes without capacity left out."""
+        devices = [self.sim.devices[n] for n in nodes]
+        totals: dict[Service, int] = {}
+        jain: dict[Service, Fraction] = {}
+        for svc in services:
+            pairs = [(d.load.get(svc, 0), d.capacities.get(svc, 0)) for d in devices]
+            totals[svc] = sum(load for load, _cap in pairs)
+            pairs = [p for p in pairs if p[1] > 0]
+            jain[svc] = metrics.jain_index_of_pairs(pairs) if pairs else Fraction(1)
+        return totals, jain
 
     # -- depletion / re-formation --
 

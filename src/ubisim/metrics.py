@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,8 +112,19 @@ def energy_report(log: RunLog) -> dict:
     for head in sorted(latest):
         nodes = [head, *latest[head]]
         values = [consumed[n] for n in nodes if n in consumed]
-        variance[head] = statistics.pvariance(values) if values else 0.0
+        variance[head] = _pvariance(values) if values else 0.0
     return {"consumed": consumed, "cluster_variance": variance}
+
+
+def _pvariance(values):
+    """``statistics.pvariance`` of integers from integer sums, without Fractions.
+
+    The variance is (n * sum x^2 - (sum x)^2) / n^2: an int when n^2 divides
+    the numerator, else the correctly rounded float, as pvariance gives it.
+    """
+    n, total = len(values), sum(values)
+    num, den = n * sum(v * v for v in values) - total * total, n * n
+    return num // den if num % den == 0 else num / den
 
 
 @dataclass
@@ -132,7 +142,7 @@ class RunReport:
     per_service: dict[Service, dict[str, int]] = field(default_factory=dict)
     jain_pairs: list[tuple[Service, object, object]] = field(default_factory=list)
     energy_consumed: dict[int, int] = field(default_factory=dict)
-    cluster_variance: dict[int, float] = field(default_factory=dict)
+    cluster_variance: dict[int, int | float] = field(default_factory=dict)
     total_energy_mj: int = 0
     lost_requests: int = 0
     downtime: dict[int, int] = field(default_factory=dict)

@@ -120,7 +120,7 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     overloaded = verdict.overloaded
     if not overloaded:
         return plan
-    peers = [e for n, e in sorted(view.entries.items()) if n != verdict.node]
+    peers = [e for e in view.entries.values() if e.node != verdict.node]
     eligible = [
         e for e in peers
         if e.status is Status.RUNNING and e.load is not None
@@ -128,27 +128,15 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     ]
     if peers and not eligible:
         raise StaleView(f"no fresh view of any peer of node {verdict.node}")
-    allocated: dict[tuple[int, Service], int] = {}
     for service in sorted(overloaded):
-        excess = overloaded[service].excess
-        plan.excess[service] = excess
-        remaining = excess
-        ranked = sorted(
-            eligible,
-            key=lambda e: (-(e.spare(service) - allocated.get((e.node, service), 0)), e.node),
-        )
-        for entry in ranked:
-            if remaining == 0:
-                break
-            spare = entry.spare(service) - allocated.get((entry.node, service), 0)
-            take = min(remaining, spare)
+        remaining = plan.excess[service] = overloaded[service].excess
+        for neg_spare, node in sorted((-e.spare(service), e.node) for e in eligible):
+            take = min(remaining, -neg_spare)
             if take < 1:
-                continue
+                break
             plan.directives.append(
-                MigrationDirective(service=service, source=verdict.node,
-                                   dest=entry.node, amount=take)
+                MigrationDirective(service=service, source=verdict.node, dest=node, amount=take)
             )
-            allocated[(entry.node, service)] = allocated.get((entry.node, service), 0) + take
             remaining -= take
         plan.residual[service] = remaining
     return plan

@@ -1,6 +1,6 @@
 """Deterministic discrete-event engine.
 
-A virtual integer clock, a (time, seq)-ordered event queue, and
+A virtual integer clock, a (time, seq)-ordered event heap, and
 neighbor-constrained message delivery. One Simulation instance is strictly
 single-threaded; identical (scenario, seed) pairs replay to byte-identical
 traces because every stochastic choice draws from the kernel's single seeded
@@ -128,25 +128,6 @@ class Event:
     payload: Payload
 
 
-class EventQueue:
-    """Min-heap of events ordered by (time, seq); seq breaks ties FIFO."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[2]
-
-    def peek_time(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 # --- structured run records --------------------------------------------------
 
 
@@ -244,7 +225,7 @@ class Simulation:
         self.drop_p = drop_p
         self.rng = random.Random(seed)
         self.clock = 0
-        self.queue = EventQueue()
+        self.queue: list[tuple[int, int, Event]] = []  # heapq of (time, seq, event)
         self._seq = itertools.count()
         self.log = RunLog()
         self.demand: dict[int, dict[Service, int]] = {
@@ -295,14 +276,14 @@ class Simulation:
         if time < self.clock:
             raise PastEvent(f"cannot schedule at t={time}, clock is {self.clock}")
         ev = Event(time, next(self._seq), target, payload)
-        self.queue.push(ev)
+        heapq.heappush(self.queue, (time, ev.seq, ev))
         return ev
 
     def step(self) -> Optional[Event]:
         """Process the minimal (time, seq) event; None when idle."""
         if not self.queue:
             return None
-        ev = self.queue.pop()
+        ev = heapq.heappop(self.queue)[2]
         if ev.time > self.clock:
             self._flush_through(ev.time - 1)
             self._activity = {}  # an unbilled tick left is past the horizon or settled
@@ -314,8 +295,9 @@ class Simulation:
         """Step until the queue is empty or the next event is past ``t_end``."""
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before clock={self.clock}")
-        while self.queue and self.queue.peek_time() <= t_end:
-            self.step()
+        queue, step = self.queue, self.step
+        while queue and queue[0][0] <= t_end:
+            step()
         self._flush_through(min(t_end, self.horizon) - 1)
         self.log.final_energy = {nid: self.energy(nid) for nid in self._ids}
         return self.log
@@ -490,17 +472,17 @@ class Simulation:
     def _dispatch(self, ev: Event) -> None:
         """Write the event's trace line under its own seq, then apply it."""
         p = ev.payload
-        if isinstance(p, Arrival):
+        if isinstance(p, MsgDeliver):
+            m = p.message
+            self.emit(ev.time, ev.target, "deliver", f"from={m.sender} kind={m.kind}", ev.seq)
+            self._deliver(m)
+        elif isinstance(p, Arrival):
             self.emit(ev.time, ev.target, "arrival", f"service={p.service} n={p.count}", ev.seq)
             self._apply_arrival(p.node, p.service, p.count, injected=False)
         elif isinstance(p, InjectOverload):
             self.emit(ev.time, ev.target, "inject", f"service={p.service} amount={p.amount}",
                       ev.seq)
             self._apply_arrival(p.node, p.service, p.amount, injected=True)
-        elif isinstance(p, MsgDeliver):
-            m = p.message
-            self.emit(ev.time, ev.target, "deliver", f"from={m.sender} kind={m.kind}", ev.seq)
-            self._deliver(m)
         elif isinstance(p, WindowBoundary):
             self.emit(ev.time, ev.target, "boundary", f"window={p.window}", ev.seq)
             self.on_boundary(p.window)

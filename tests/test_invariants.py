@@ -10,6 +10,9 @@ in dynamic plans, demand and the message count exact.
 A node-window's served dict is one object shared by the sample, the
 controller's view and ``RunLog.window_served``; the overloads every verdict
 saw must still be what the log archived, here and on the bundled scenarios.
+There too, an episode that moved nothing keeps its before totals and Jain
+indices as its after ones, and every live controller's node list is its
+cluster's.
 """
 
 import random
@@ -18,6 +21,7 @@ import pytest
 
 from ubisim.cli import bundled_scenario_text
 from ubisim.engine import Engine, run_scenario
+from ubisim.model import Status
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import LocalDelivery, Simulation
 
@@ -122,6 +126,18 @@ def assert_overloads_match_served(log):
             assert o.observed == served[svc], (vr.node, vr.window, svc)
 
 
+def assert_correction_bookkeeping(engine, log):
+    """Episodes that moved nothing and the controllers' node lists are consistent."""
+    for ep in log.episodes:
+        if all(se.moved == 0 for se in ep.services.values()):
+            assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
+            assert ep.totals_after == ep.totals_before, (ep.node, ep.window)
+    sim = engine.sim
+    for head, controller in engine.controllers.items():
+        if sim.devices[head].status is not Status.DEPLETED:
+            assert controller.nodes == sorted({head} | sim.clusters[head]), head
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostile_run_keeps_invariants(seed, monkeypatch):
     scenario = parse_scenario(hostile_scenario_text(seed))
@@ -139,6 +155,7 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
     assert all(v >= 0 for d in sim.demand.values() for v in d.values())
     assert all(sim.demand[n] == dev.load for n, dev in sim.devices.items())
     assert_overloads_match_served(log)
+    assert_correction_bookkeeping(engine, log)
 
     run = scenario.run
     queued = in_flight(log, run.latency, run.ticks)
@@ -150,8 +167,10 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
 def test_bundled_overloads_match_served(name, mode):
     scenario = parse_scenario(bundled_scenario_text(name))
     scenario.run.mode = mode
-    _report, log = run_scenario(scenario)
+    engine = Engine(scenario)
+    log = engine.run()
     assert_overloads_match_served(log)
+    assert_correction_bookkeeping(engine, log)
 
 
 def test_unreachable_seeds_report_to_a_depleted_controller():

@@ -1,3 +1,4 @@
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from ubisim.metrics import (
 )
 from ubisim.model import EnergyParams
 from ubisim.scenario import parse_scenario
-from ubisim.simkernel import Simulation
+from ubisim.simkernel import RunLog, Simulation
 
 from conftest import make_device, two_node_scenario
 
@@ -181,6 +182,20 @@ class TestEnergyReport:
         _report, log = run_scenario(load_bundled_scenario())
         consumed = energy_report(log)["consumed"]
         assert sum(consumed.values()) == log.total_debited
+
+    @given(st.lists(st.one_of(st.integers(min_value=0, max_value=50),
+                              st.integers(min_value=0, max_value=10**15)),
+                    min_size=1, max_size=40))
+    @settings(deadline=None)
+    def test_cluster_variance_is_pvariance(self, consumed):
+        # one cluster, head 0, whose nodes consumed exactly ``consumed``
+        log = RunLog(initial_energy=dict(enumerate(consumed)),
+                     final_energy=dict.fromkeys(range(len(consumed)), 0),
+                     cluster_records=[(0, 0, tuple(range(1, len(consumed))))])
+        got = energy_report(log)["cluster_variance"][0]
+        want = statistics.pvariance(consumed)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestRunReport:

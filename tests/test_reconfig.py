@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubisim.clustering import Cluster
 from ubisim.detection import BehaviorSample, DetectionVerdict, KnowledgeBase, Overload
@@ -160,6 +162,42 @@ class TestPlanReconfiguration:
             for dest, amount in got.items():
                 cap, load = caps_loads[dest][0]["S"], caps_loads[dest][1]["S"]
                 assert load + amount <= cap
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_directives_rank_peers_by_spare(self, data):
+        services = ["A", "B", "C"]
+        n = data.draw(st.integers(min_value=1, max_value=7), label="nodes")
+        caps_loads = {
+            i: ({s: data.draw(st.integers(0, 20)) for s in services},
+                {s: data.draw(st.integers(0, 30)) for s in services})
+            for i in range(n)
+        }
+        view = view_of(caps_loads)
+        for entry in view.entries.values():
+            entry.status = data.draw(st.sampled_from([Status.RUNNING, Status.DEPLETED]))
+        src = data.draw(st.integers(0, n - 1), label="source")
+        overloads = {
+            s: (base + data.draw(st.integers(1, 40)), base)
+            for s in data.draw(st.lists(st.sampled_from(services), min_size=1, unique=True))
+            for base in [caps_loads[src][0][s]]
+        }
+        try:
+            plan = plan_reconfiguration(view, verdict_of(src, overloads))
+        except StaleView:
+            return
+        for svc, (obs, base) in overloads.items():
+            directives = [d for d in plan.directives if d.service == svc]
+            dests = [d.dest for d in directives]
+            assert len(dests) == len(set(dests)), svc  # no peer named twice
+            spares = [view.entries[d].spare(svc) for d in dests]
+            ranks = [(-sp, d) for sp, d in zip(spares, dests)]
+            assert ranks == sorted(ranks), svc  # descending spare, ties to the lower id
+            assert all(d.amount <= sp for d, sp in zip(directives, spares))
+            assert sum(d.amount for d in directives) + plan.residual[svc] == obs - base
+            spare = sum(e.spare(svc) for e in view.entries.values()
+                        if e.node != src and e.status is Status.RUNNING)
+            assert plan.residual[svc] == max(0, obs - base - spare)
 
 
 def cluster_sim(loads_by_node, caps=None, mode=Mode.DYNAMIC):

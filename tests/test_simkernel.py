@@ -120,7 +120,7 @@ class TestSend:
         delivered = kinds.count("deliver")
         dropped = kinds.count("drop")
         in_flight = sum(
-            1 for _, _, ev in engine.sim.queue._heap if isinstance(ev.payload, MsgDeliver)
+            1 for _, _, ev in engine.sim.queue if isinstance(ev.payload, MsgDeliver)
         )
         # every transmission either got a delivery event, an explicit drop
         # record, or is still in flight at the horizon

@@ -5,7 +5,8 @@ recorded before the code that produces the traces was last simplified;
 a change that means to alter behaviour re-records them and says so.
 The trace does not carry the Jain indices, so ``report.jain_pairs`` is
 pinned by a digest of its own, recorded before ``jain_index`` moved to
-integer sums.
+integer sums; ``report.cluster_variance`` likewise, recorded before
+``energy_report`` stopped calling ``statistics.pvariance``.
 """
 
 import hashlib
@@ -40,6 +41,10 @@ AC5_SEEDS_DIGEST = "ff9ba262379cf7c9898bc5d6e9cfb864e63b6a1842243a462267095bfed2
 # sorted order, then seeds 0..99 of ``random_scenario_text``: 129 pairs
 JAIN_PAIRS_DIGEST = "6f428b222f3280d4872dac6c93bb1977a8f742fcc483dbeb279683976c36c9e7"
 
+# sha256 of ``repr(report.cluster_variance)`` over the same 110 runs; the
+# values mix ints (exact variances) and floats, and the digest pins both
+CLUSTER_VARIANCE_DIGEST = "c829825196d91e49701a0d0aaa6a0c5e75924ebdbf9d8ef42710b0f56c0c39e9"
+
 
 def trace_of(text):
     _report, log = run_scenario(parse_scenario(text))
@@ -59,12 +64,22 @@ def test_ac5_seed_traces_are_pinned():
     assert h.hexdigest() == AC5_SEEDS_DIGEST
 
 
-def test_jain_pairs_are_pinned():
+def report_digest(field):
+    """sha256 of ``repr(getattr(report, field))`` over the ten fig3_family
+    scenarios in sorted order, then seeds 0..99 of ``random_scenario_text``."""
     texts = [bundled_scenario_text(name) for name in sorted(BUNDLED)
              if name.startswith("fig3_family/")]
     texts += [random_scenario_text(seed) for seed in range(100)]
     h = hashlib.sha256()
     for text in texts:
         report, _log = run_scenario(parse_scenario(text))
-        h.update(repr(report.jain_pairs).encode())
-    assert h.hexdigest() == JAIN_PAIRS_DIGEST
+        h.update(repr(getattr(report, field)).encode())
+    return h.hexdigest()
+
+
+def test_jain_pairs_are_pinned():
+    assert report_digest("jain_pairs") == JAIN_PAIRS_DIGEST
+
+
+def test_cluster_variance_is_pinned():
+    assert report_digest("cluster_variance") == CLUSTER_VARIANCE_DIGEST
