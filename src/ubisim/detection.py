@@ -11,8 +11,7 @@ file periodic reports.
 
 from __future__ import annotations
 
-from collections.abc import KeysView
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import EnergyParams, Service, SimulationError, Status
@@ -43,47 +42,36 @@ class EnergyAnomaly:
 class KnowledgeBase:
     """Per-device normal capacities plus the expected-energy model.
 
-    ``baseline`` maps (node, service) to the normal requests-per-window
-    capacity. Expected energy for a window is linear in the served load:
-    window ticks of idle cost, the per-request cost of everything served,
-    plus a fixed per-window allowance for the node's routine protocol
-    messages (reports out of members, reports/directives through heads).
+    ``capacities`` maps each node to its normal requests-per-window capacity
+    per service. An Engine passes the per-node dicts of
+    ``Scenario.capacities()``, which the devices and the controllers' views
+    hold too; nothing mutates them. Expected energy for a window is linear in
+    the served load: window ticks of idle cost, the per-request cost of
+    everything served, plus a fixed per-window allowance for the node's
+    routine protocol messages (reports out of members, reports/directives
+    through heads).
 
-    ``baseline`` is read once, at construction, into a per-node index of
-    capacities, which is then its only owner; ``energy_tolerance`` into the
-    integer numerator and denominator of the exact fraction its decimal
-    literal names; and ``window`` and ``params.idle_per_tick`` into the
-    window's idle cost. Nothing in the simulator changes any of them
-    afterwards, and a caller that does must build a new KnowledgeBase.
-    ``msg_budget`` and the per-request costs are read at each comparison.
+    ``energy_tolerance`` is read once, at construction, into the integer
+    numerator and denominator of the exact fraction its decimal literal
+    names, and ``window`` and ``params.idle_per_tick`` into the window's idle
+    cost. Nothing in the simulator changes any of them afterwards, and a
+    caller that does must build a new KnowledgeBase. ``msg_budget`` and the
+    per-request costs are read at each comparison.
     """
 
-    baseline: InitVar[dict[tuple[int, Service], int]]
+    capacities: dict[int, dict[Service, int]]
     params: EnergyParams
     window: int
     msg_budget: dict[int, int] = field(default_factory=dict)
     energy_tolerance: float = 0.10
-    # node -> {service: capacity}, services in sorted order
-    _capacities: dict[int, dict[Service, int]] = field(init=False)
 
-    def __post_init__(self, baseline: dict[tuple[int, Service], int]) -> None:
-        self._capacities = {}
-        for (node, svc), cap in sorted(baseline.items(), key=lambda kv: kv[0][1]):
-            self._capacities.setdefault(node, {})[svc] = cap
+    def __post_init__(self) -> None:
         tolerance = Fraction(str(self.energy_tolerance))
         self._tol_num, self._tol_den = tolerance.numerator, tolerance.denominator
         self._idle_per_window = self.window * self.params.idle_per_tick
 
-    def nodes(self) -> KeysView[int]:
-        """The nodes with at least one baseline, as a read-only view."""
-        return self._capacities.keys()
-
-    def capacities(self, node: int) -> dict[Service, int]:
-        """A copy of the node's baselines, keyed in sorted service order."""
-        return dict(self._capacities.get(node, {}))
-
     def baseline_for(self, node: int, service: Service) -> int:
-        return self._capacities[node][service]
+        return self.capacities[node][service]
 
     def expected_energy(self, node: int, served: dict[Service, int]) -> int:
         cost, default = self.params.per_request.get, self.params.default_per_request
@@ -148,11 +136,12 @@ class VerdictRecord:
 def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
     """Derive baselines and the energy expectation from the configuration.
 
-    Baselines are ``capacities`` (``Scenario.capacities()``, node to service
-    to capacity); the message allowance is sized from the cluster layout.
+    The baselines are the ``capacities`` mapping itself
+    (``Scenario.capacities()``, node to service to capacity), not a copy: the
+    knowledge base shares its per-node dicts with the devices and the
+    controllers' views, and nothing mutates them. The message allowance is
+    sized from the cluster layout.
     """
-    baseline = {(node, svc): cap for node, caps in capacities.items()
-                for svc, cap in caps.items()}
     params = scenario.energy_params()
     per_msg = params.tx_per_msg + params.rx_per_msg
     budget: dict[int, int] = {}
@@ -161,7 +150,7 @@ def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
         for m in cluster.members:
             budget[m] = per_msg
     return KnowledgeBase(
-        baseline=baseline,
+        capacities=capacities,
         params=params,
         window=scenario.run.window,
         msg_budget=budget,
@@ -189,7 +178,7 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     anomalous iff it exceeds ``expected * (1 + tolerance)``, compared in
     integers, so a draw exactly at that limit is normal.
     """
-    caps = kb._capacities.get(sample.node)
+    caps = kb.capacities.get(sample.node)
     if caps is None:
         raise UnknownNode(f"no baselines for node {sample.node}")
     per_service: dict[Service, Overload | None] = {}

@@ -111,14 +111,14 @@ def _collector_paused():
 class _Controller:
     """Cluster-head state: the view of the cluster and the plans made.
 
-    ``nodes`` lists the cluster's nodes, head included, in id order: the
-    nodes its view was built from. Re-formation replaces the controller.
+    The view's entries are keyed by the cluster's nodes, head included, in
+    id order; each holds the knowledge base's capacity dict for its node.
+    Re-formation replaces the controller.
     """
 
     def __init__(self, head: int, nodes, kb):
         self.head = head
-        entries = {n: ViewEntry(node=n, capacities=kb.capacities(n)) for n in sorted(nodes)}
-        self.nodes = list(entries)
+        entries = {n: ViewEntry(node=n, capacities=kb.capacities[n]) for n in sorted(nodes)}
         self.view = ClusterView(head=head, entries=entries)
         self.planned: set[tuple[int, int]] = set()
 
@@ -278,7 +278,7 @@ class Engine:
             sim.emit(sim.clock, controller.head, "defer",
                      f"node={verdict.node} window={verdict.window}")
             return
-        totals_before, jain_before = self._balance(controller.nodes, plan.excess)
+        totals_before, jain_before = self._balance(controller.view.entries, plan.excess)
         if self.mode is Mode.DYNAMIC:
             result = apply_dynamic(plan, sim)
             downtime = 0
@@ -290,7 +290,7 @@ class Engine:
                 controller.view.adjust(directive.service, directive.source,
                                        directive.dest, amount)
         if any(amount for _directive, amount in result.executed):
-            totals_after, jain_after = self._balance(controller.nodes, plan.excess)
+            totals_after, jain_after = self._balance(controller.view.entries, plan.excess)
         else:
             totals_after, jain_after = dict(totals_before), dict(jain_before)
         episode = EpisodeRecord(

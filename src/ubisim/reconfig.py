@@ -152,7 +152,7 @@ class ApplyResult:
 
 
 def _execute(directive: MigrationDirective, sim) -> int:
-    """Move the directive's load and demand; returns the amount moved."""
+    """Move the directive's load between the two devices; returns the amount moved."""
     src = sim.devices[directive.source]
     dst = sim.devices[directive.dest]
     if dst.status is Status.DEPLETED:
@@ -163,7 +163,6 @@ def _execute(directive: MigrationDirective, sim) -> int:
     if amount:
         src.load[directive.service] -= amount
         dst.load[directive.service] = dst.load.get(directive.service, 0) + amount
-        sim.move_demand(directive.service, directive.source, directive.dest, amount)
     sim.emit(
         sim.clock, directive.source, "migrate",
         f"service={directive.service} to={directive.dest} amount={amount}",

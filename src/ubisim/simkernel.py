@@ -190,14 +190,14 @@ class Simulation:
     """Single-threaded deterministic simulation instance.
 
     The kernel owns the devices, the clock, the event queue, the seeded
-    generator, the cluster registry used for reachability checks, and the
-    per-node standing demand table. Arrivals and migrations change the table
-    and the device loads by the same amounts, so it mirrors the loads and is
-    never read back into them; it stays as the reference the benchmark gate
-    checks loads against. Protocol behavior (agents, controllers) is
-    attached through the ``on_boundary``/``on_message``/``on_depleted``
-    hooks, which are no-ops until an engine installs its own and again
-    after ``clear_hooks``.
+    generator and the cluster registry used for reachability checks. A
+    node's standing demand is its ``DeviceState.load``, which arrivals and
+    migrations change in place; there is no separate demand table.
+    ``demand`` maps each node id to that same load dict, not a copy, under
+    the name the benchmark gate reads. Protocol behavior (agents,
+    controllers) is attached through the
+    ``on_boundary``/``on_message``/``on_depleted`` hooks, which are no-ops
+    until an engine installs its own and again after ``clear_hooks``.
     """
 
     def __init__(
@@ -228,9 +228,7 @@ class Simulation:
         self.queue: list[tuple[int, int, Event]] = []  # heapq of (time, seq, event)
         self._seq = itertools.count()
         self.log = RunLog()
-        self.demand: dict[int, dict[Service, int]] = {
-            d.id: {**dict.fromkeys(d.capacities, 0), **d.load} for d in devices
-        }
+        self.demand: dict[int, dict[Service, int]] = {d.id: d.load for d in devices}
         self.clusters: dict[int, set[int]] = {}
         self.head_of: dict[int, int] = {}
         # event-driven billing state; see the module docstring
@@ -350,15 +348,6 @@ class Simulation:
         self.head_of.pop(head, None)
         for m in members:
             self.head_of.pop(m, None)
-
-    # -- demand table --
-
-    def add_demand(self, node: int, service: Service, n: int) -> None:
-        self.demand[node][service] = self.demand[node].get(service, 0) + n
-
-    def move_demand(self, service: Service, source: int, dest: int, n: int) -> None:
-        self.demand[source][service] = self.demand[source].get(service, 0) - n
-        self.demand[dest][service] = self.demand[dest].get(service, 0) + n
 
     # -- energy accounting --
 
@@ -503,7 +492,6 @@ class Simulation:
             self.log.lost_requests += n
             self.emit(self.clock, node, "lost", f"service={service} n={n}")
             return
-        self.add_demand(node, service, n)
         if injected:
             self.log.injections.append(
                 InjectionRecord(

@@ -34,7 +34,7 @@ TABLE_OVERLOADS = {"Print": 50, "View": 124, "SendEmail": 21, "UpdateBDD": 56, "
 def simple_kb(baselines=None, node=1, window=10, budget=0, tolerance=0.10):
     baselines = baselines or TABLE_BASELINES
     return KnowledgeBase(
-        baseline={(node, s): c for s, c in baselines.items()},
+        capacities={node: baselines},
         params=EnergyParams(),
         window=window,
         msg_budget={node: budget},
@@ -239,16 +239,16 @@ class TestEnergyBoundary:
 
 
 class TestKnowledgeBaseIndex:
-    """A KnowledgeBase built straight from a baseline dict, as the tests do."""
+    """A KnowledgeBase built straight from a capacities mapping, as the tests do."""
 
-    BASELINE = {
-        (0, "Print"): 34, (0, "View"): 123,
-        (2, "View"): 7,
-        (5, "Scan"): 8, (5, "Print"): 3, (5, "View"): 0,
+    CAPACITIES = {
+        0: {"Print": 34, "View": 123},
+        2: {"View": 7},
+        5: {"Scan": 8, "Print": 3, "View": 0},
     }
 
     def _kb(self):
-        return KnowledgeBase(baseline=dict(self.BASELINE), params=EnergyParams(), window=10)
+        return KnowledgeBase(capacities=self.CAPACITIES, params=EnergyParams(), window=10)
 
     def test_unknown_node_still_raises(self):
         kb = self._kb()
@@ -259,29 +259,22 @@ class TestKnowledgeBaseIndex:
     def test_known_nodes_match_baseline_oracle(self):
         kb = self._kb()
         for node in (0, 2, 5):
-            services = sorted(svc for n, svc in self.BASELINE if n == node)
+            services = sorted(self.CAPACITIES[node])
             for loads in itertools.product(range(0, 40, 3), repeat=len(services)):
                 observed = dict(zip(services, loads))
                 verdict = control_compare(BehaviorSample(node, 1, observed, 0), kb)
                 expected = {}
                 for svc, load in observed.items():
-                    base = self.BASELINE[(node, svc)]
+                    base = self.CAPACITIES[node][svc]
                     expected[svc] = Overload(load, base) if load > base else None
                 assert verdict.per_service == expected
-
-    def test_index_holds_each_node_once_in_sorted_service_order(self):
-        kb = self._kb()
-        assert set(kb.nodes()) == {0, 2, 5}
-        assert list(kb.capacities(5)) == ["Print", "Scan", "View"]
-        assert kb.capacities(1) == {}
-        kb.capacities(0)["Print"] = 999  # a copy: the index is unchanged
-        assert kb.capacities(0) == {"Print": 34, "View": 123}
 
     def test_baseline_is_read_once_into_the_index(self):
         kb = self._kb()
         assert not hasattr(kb, "baseline")
-        for (node, svc), cap in self.BASELINE.items():
-            assert kb.baseline_for(node, svc) == cap
+        for node, caps in self.CAPACITIES.items():
+            for svc, cap in caps.items():
+                assert kb.baseline_for(node, svc) == cap
         with pytest.raises(KeyError):
             kb.baseline_for(2, "Print")
 

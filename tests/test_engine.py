@@ -82,6 +82,40 @@ class TestHeadDepletionReformation:
             assert agent.controller == engine.sim.head_of[n]
 
 
+class TestOneOwnerPerFact:
+    # hostile seed 3 migrates load in static mode and loses arrivals to a
+    # quiesced node; TRIANGLE re-forms its cluster after head 0 depletes
+    SCENARIOS = {
+        "table3": bundled_scenario_text(),
+        "hostile_3": hostile_scenario_text(3),
+        "triangle": TRIANGLE,
+    }
+
+    @pytest.mark.parametrize("name", ["table3", "hostile_3"])
+    def test_demand_is_the_device_loads(self, name):
+        # the benchmark gate reads ``sim.demand`` for its non-negative demand
+        # check, so the name must give the device load dicts themselves
+        engine = Engine(parse_scenario(self.SCENARIOS[name]))
+        engine.run()
+        sim = engine.sim
+        assert sim.demand.keys() == sim.devices.keys()
+        assert all(sim.demand[n] is dev.load for n, dev in sim.devices.items())
+
+    @pytest.mark.parametrize("name", ["table3", "triangle"])
+    def test_one_capacity_dict_per_node(self, name):
+        engine = Engine(parse_scenario(self.SCENARIOS[name]))
+        log = engine.run()
+        if name == "triangle":
+            assert len(log.cluster_records) >= 3 and 1 in engine.controllers
+        capacities = engine.kb.capacities
+        for n, dev in engine.sim.devices.items():
+            assert dev.capacities is capacities[n], n
+        assert engine.controllers
+        for head, controller in engine.controllers.items():
+            for n, entry in controller.view.entries.items():
+                assert entry.capacities is capacities[n], (head, n)
+
+
 class TestStaleViewDeferral:
     def test_plan_deferred_until_view_refreshes(self):
         # reports only every 3 windows and zero staleness tolerance: the

@@ -11,8 +11,8 @@ A node-window's served dict is one object shared by the sample, the
 controller's view and ``RunLog.window_served``; the overloads every verdict
 saw must still be what the log archived, here and on the bundled scenarios.
 There too, an episode that moved nothing keeps its before totals and Jain
-indices as its after ones, and every live controller's node list is its
-cluster's.
+indices as its after ones, and every live controller's view holds its
+cluster's nodes in id order.
 """
 
 import random
@@ -127,7 +127,7 @@ def assert_overloads_match_served(log):
 
 
 def assert_correction_bookkeeping(engine, log):
-    """Episodes that moved nothing and the controllers' node lists are consistent."""
+    """Episodes that moved nothing and the controllers' views are consistent."""
     for ep in log.episodes:
         if all(se.moved == 0 for se in ep.services.values()):
             assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
@@ -135,7 +135,7 @@ def assert_correction_bookkeeping(engine, log):
     sim = engine.sim
     for head, controller in engine.controllers.items():
         if sim.devices[head].status is not Status.DEPLETED:
-            assert controller.nodes == sorted({head} | sim.clusters[head]), head
+            assert list(controller.view.entries) == sorted({head} | sim.clusters[head]), head
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -152,8 +152,7 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
             assert ep.totals_before == ep.totals_after, (ep.node, ep.window)
 
     sim = engine.sim
-    assert all(v >= 0 for d in sim.demand.values() for v in d.values())
-    assert all(sim.demand[n] == dev.load for n, dev in sim.devices.items())
+    assert all(v >= 0 for dev in sim.devices.values() for v in dev.load.values())
     assert_overloads_match_served(log)
     assert_correction_bookkeeping(engine, log)
 

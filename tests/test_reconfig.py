@@ -212,9 +212,6 @@ def cluster_sim(loads_by_node, caps=None, mode=Mode.DYNAMIC):
         devs.append(dev)
     sim = Simulation(devs, EnergyParams())
     sim.install_clusters([Cluster(head=0, members=frozenset(i for i in ids if i != 0))])
-    for nid in ids:
-        for s, n in loads_by_node[nid].items():
-            sim.demand[nid][s] = n
     return sim
 
 
@@ -303,7 +300,7 @@ class TestApplyStatic:
 
 def kb_for(node, baselines, window=10):
     return KnowledgeBase(
-        baseline={(node, s): c for s, c in baselines.items()},
+        capacities={node: baselines},
         params=EnergyParams(),
         window=window,
         msg_budget={node: 100},
