@@ -136,10 +136,10 @@ def cmd_repro(args) -> int:
         inject_window = min(r.window for r in log.injections)
         overload = {r.service: r.load_after for r in log.injections}
         detected = {}
-        for vr in log.verdicts:
-            if vr.window != inject_window:
+        for v in log.verdicts:
+            if v.window != inject_window:
                 continue
-            for svc, o in vr.verdict.overloaded.items():
+            for svc, o in v.overloaded.items():
                 detected[svc] = o.observed
         print(_format_table(services, [
             ("Overload", [overload.get(s, "-") for s in services]),

@@ -4,9 +4,11 @@ Per-node agents capture one BehaviorSample per measurement window and a pure
 comparison turns it into a DetectionVerdict: a service is overloaded iff its
 observed load strictly exceeds the baseline capacity, and the energy draw is
 anomalous iff it exceeds the load-explained expectation by more than the
-configured tolerance, both decided in exact integer arithmetic. Agents
-alert their cluster-head controller on any non-normal verdict and otherwise
-file periodic reports.
+configured tolerance, both decided in exact integer arithmetic. The verdict
+lists only the overloaded services; a sampled service it does not list is
+normal. Agents alert their cluster-head controller on any non-normal verdict
+and otherwise file periodic reports. The verdict is also the run's record of
+the node-window: ``RunLog.verdicts`` holds the verdicts themselves.
 """
 
 from __future__ import annotations
@@ -95,42 +97,27 @@ class BehaviorSample:
 class DetectionVerdict:
     """One node-window's comparison result.
 
-    ``overloaded`` holds the services of ``per_service`` that are not None.
-    It is built once, at construction, and takes no part in equality or the
-    repr; callers must not mutate it or any other field.
+    ``overloaded`` holds each overloaded service in sample order; a service
+    it does not hold is normal. ``alerted`` says whether the verdict is
+    non-normal, which is when the agent alerts. It is set once, at
+    construction, and takes no part in equality or the repr; callers must
+    not mutate it or any other field.
     """
 
     node: int
     window: int
-    per_service: dict[Service, Overload | None]  # None = normal
+    overloaded: dict[Service, Overload]
     energy_anomaly: EnergyAnomaly | None = None
-    overloaded: dict[Service, Overload] = field(init=False, compare=False, repr=False)
+    alerted: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.overloaded = {s: o for s, o in self.per_service.items() if o is not None}
-
-    @property
-    def all_normal(self) -> bool:
-        return not self.overloaded and self.energy_anomaly is None
+        self.alerted = bool(self.overloaded) or self.energy_anomaly is not None
 
 
 @dataclass(slots=True)
 class DetectionAgent:
     host: int
     controller: int
-
-
-@dataclass(slots=True)
-class VerdictRecord:
-    """Trace-side record of one verdict; any non-normal verdict is alerted."""
-
-    window: int
-    node: int
-    verdict: DetectionVerdict
-
-    @property
-    def alerted(self) -> bool:
-        return not self.verdict.all_normal
 
 
 def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
@@ -181,17 +168,18 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     caps = kb.capacities.get(sample.node)
     if caps is None:
         raise UnknownNode(f"no baselines for node {sample.node}")
-    per_service: dict[Service, Overload | None] = {}
+    overloaded: dict[Service, Overload] = {}
     for svc, observed in sample.observed.items():
         base = caps[svc]
-        per_service[svc] = Overload(observed, base) if observed > base else None
+        if observed > base:
+            overloaded[svc] = Overload(observed, base)
     expected = kb.expected_energy(sample.node, sample.observed)
     anomaly = None
     den = kb._tol_den
     if sample.energy_drawn * den > expected * (den + kb._tol_num):
         anomaly = EnergyAnomaly(drawn=sample.energy_drawn, expected=expected)
     return DetectionVerdict(
-        node=sample.node, window=sample.window, per_service=per_service,
+        node=sample.node, window=sample.window, overloaded=overloaded,
         energy_anomaly=anomaly,
     )
 
@@ -206,10 +194,9 @@ def report_alert(agent: DetectionAgent, verdict: DetectionVerdict,
     controller is depleted, which the caller resolves by re-forming the
     cluster; the standing overload re-alerts at the next boundary.
     """
-    alert = not verdict.all_normal
-    if not alert and verdict.window % report_every != 0:
+    if not verdict.alerted and verdict.window % report_every != 0:
         return "none"
-    kind = "alert" if alert else "report"
+    kind = "alert" if verdict.alerted else "report"
     if agent.controller == agent.host:
         sim.local_deliver(agent.host, kind, (verdict, sample))
     else:

@@ -32,7 +32,6 @@ from .clustering import deploy_agents, form_clusters, reform_cluster
 from .detection import (
     DetectionAgent,
     DetectionVerdict,
-    VerdictRecord,
     build_knowledge_base,
     collect,
     control_compare,
@@ -184,6 +183,7 @@ class Engine:
         sim = self.sim
         samples = {}
         verdicts = {}
+        normal = f"window={window} normal"
         for host in sorted(self.agents):
             agent = self.agents[host]
             if sim.devices[host].status is Status.DEPLETED:
@@ -195,10 +195,9 @@ class Engine:
             verdict = control_compare(sample, self.kb)
             samples[host] = sample
             verdicts[host] = verdict
-            record = VerdictRecord(window, host, verdict)
-            sim.log.verdicts.append(record)
-            if not record.alerted:
-                sim.emit(sim.clock, host, "verdict", f"window={window} normal")
+            sim.log.verdicts.append(verdict)
+            if not verdict.alerted:
+                sim.emit(sim.clock, host, "verdict", normal)
                 continue
             detail = " ".join(
                 f"{svc}={o.observed}/{o.baseline}" for svc, o in verdict.overloaded.items()
@@ -208,10 +207,10 @@ class Engine:
                 detail = (detail + f" energy={a.drawn}/{a.expected}").strip()
             sim.emit(sim.clock, host, "verdict", f"window={window} overload {detail}")
         self._resolve_pending(window, samples)
-        for host in sorted(verdicts):
+        for host, verdict in verdicts.items():  # filled in host order
             agent = self.agents[host]
             try:
-                report_alert(agent, verdicts[host], samples[host], sim,
+                report_alert(agent, verdict, samples[host], sim,
                              report_every=self.scenario.run.report_every)
             except Unreachable:
                 sim.emit(sim.clock, host, "unreachable", f"controller={agent.controller}")
@@ -338,10 +337,9 @@ class Engine:
     # -- depletion / re-formation --
 
     def _on_depleted(self, node: int) -> None:
-        for controller in self.controllers.values():
-            entry = controller.view.entries.get(node)
-            if entry is not None:
-                entry.status = Status.DEPLETED
+        controller = self.controllers.get(self.sim.head_of.get(node))
+        if controller is not None and node in controller.view.entries:
+            controller.view.entries[node].status = Status.DEPLETED
         if node in self.sim.clusters:
             self._reform(node)
 
@@ -387,11 +385,11 @@ def write_outputs(scenario: Scenario, log: RunLog, report, out_dir: Path) -> Non
     with open(out_dir / "detections.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "node", "service", "observed", "baseline", "verdict"])
-        for vr in log.verdicts:
-            if not vr.alerted:
+        for v in log.verdicts:
+            if not v.alerted:
                 continue
-            for svc, o in vr.verdict.overloaded.items():
-                w.writerow([vr.window, vr.node, svc, o.observed, o.baseline, "overloaded"])
+            for svc, o in v.overloaded.items():
+                w.writerow([v.window, v.node, svc, o.observed, o.baseline, "overloaded"])
     with open(out_dir / "corrections.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "node", "service", "excess_before", "moved",

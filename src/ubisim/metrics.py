@@ -71,9 +71,7 @@ def detection_stats(log: RunLog) -> dict:
     None when nothing qualifying was injected.
     """
     overloaded_index = {
-        (vr.node, vr.window, svc)
-        for vr in log.verdicts
-        for svc in vr.verdict.overloaded
+        (v.node, v.window, svc) for v in log.verdicts for svc in v.overloaded
     }
     injected = [r for r in log.injections if r.above_baseline]
     detected = sum(
@@ -181,7 +179,7 @@ def build_report(log: RunLog) -> RunReport:
         total_energy_mj=sum(energy["consumed"].values()),
         lost_requests=log.lost_requests,
         downtime=dict(log.downtime),
-        alerts=sum(1 for vr in log.verdicts if vr.alerted),
+        alerts=sum(1 for v in log.verdicts if v.alerted),
         drops=log.drops,
         windows=log.windows_completed,
     )

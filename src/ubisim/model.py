@@ -51,9 +51,6 @@ class EnergyParams:
     rx_per_msg: int = 1
     default_per_request: int = 5
 
-    def request_cost(self, service: Service) -> int:
-        return self.per_request.get(service, self.default_per_request)
-
 
 @dataclass(slots=True)
 class Activity:
@@ -119,8 +116,9 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
 def energy_delta(activity: Activity, params: EnergyParams) -> int:
     """Millijoules ``activity`` costs under ``params``, idle span included."""
     delta = params.idle_per_tick * activity.ticks
+    cost, default = params.per_request.get, params.default_per_request
     for svc, count in activity.requests_served.items():
-        delta += params.request_cost(svc) * count
+        delta += cost(svc, default) * count
     delta += params.tx_per_msg * activity.msgs_tx
     delta += params.rx_per_msg * activity.msgs_rx
     return delta

@@ -112,12 +112,7 @@ class LocalDelivery:
     payload: object = None
 
 
-@dataclass(slots=True)
-class MsgDeliver:
-    message: Message
-
-
-Payload = Union[WindowBoundary, Arrival, InjectOverload, Resume, MsgDeliver]
+Payload = Union[Message, WindowBoundary, Arrival, InjectOverload, Resume]
 
 
 @dataclass(slots=True)
@@ -157,11 +152,13 @@ class RunLog:
     ``window_served[node][window]`` is the one served dict of that
     node-window: the sample, the agent's report and the controller's view
     hold the same object, and none of them mutates it in place.
+    ``verdicts`` holds each compared node-window's ``DetectionVerdict``
+    itself, the object the agent reported, in boundary and host order.
     """
 
     lines: list[str] = field(default_factory=list)
     injections: list[InjectionRecord] = field(default_factory=list)
-    verdicts: list = field(default_factory=list)  # detection.VerdictRecord
+    verdicts: list = field(default_factory=list)  # detection.DetectionVerdict
     episodes: list = field(default_factory=list)  # engine.EpisodeRecord
     cluster_records: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
     window_energy: dict[int, list[int]] = field(default_factory=dict)
@@ -314,14 +311,14 @@ class Simulation:
             raise SenderDepleted(f"node {sender} cannot send, battery depleted")
         if not self.reachable(sender, receiver):
             raise Unreachable(f"node {receiver} is not cluster-reachable from {sender}")
-        msg = Message(sender, receiver, kind, payload, sent_at=self.clock)
         self._bucket(sender).msgs_tx += 1
         if self.drop_p > 0.0 and self.rng.random() < self.drop_p:
             self.log.drops += 1
             self.emit(self.clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
             return
         self.emit(self.clock, sender, "send", f"to={receiver} kind={kind}")
-        self.schedule(self.clock + self.latency, receiver, MsgDeliver(msg))
+        msg = Message(sender, receiver, kind, payload, sent_at=self.clock)
+        self.schedule(self.clock + self.latency, receiver, msg)
 
     def local_deliver(self, node: int, kind: str, payload: object = None) -> None:
         """Zero-cost delivery from a node to itself (head-hosted agent path)."""
@@ -461,10 +458,9 @@ class Simulation:
     def _dispatch(self, ev: Event) -> None:
         """Write the event's trace line under its own seq, then apply it."""
         p = ev.payload
-        if isinstance(p, MsgDeliver):
-            m = p.message
-            self.emit(ev.time, ev.target, "deliver", f"from={m.sender} kind={m.kind}", ev.seq)
-            self._deliver(m)
+        if isinstance(p, Message):
+            self.emit(ev.time, ev.target, "deliver", f"from={p.sender} kind={p.kind}", ev.seq)
+            self._deliver(p)
         elif isinstance(p, Arrival):
             self.emit(ev.time, ev.target, "arrival", f"service={p.service} n={p.count}", ev.seq)
             self._apply_arrival(p.node, p.service, p.count, injected=False)

@@ -41,7 +41,7 @@ def test_ac2_boundary_pinning_exact():
     report_hit, log_hit = run_scenario(two_node_scenario(124))
     assert report_hit.detected == 1 and report_hit.alerts == 1
     (vr,) = [v for v in log_hit.verdicts if v.alerted]
-    assert vr.verdict.per_service["View"] == Overload(124, 123)
+    assert vr.overloaded["View"] == Overload(124, 123)
 
     report_miss, log_miss = run_scenario(two_node_scenario(123))
     assert report_miss.detected == 0 and report_miss.alerts == 0
@@ -92,11 +92,12 @@ def test_ac4_greedy_residual_equals_bruteforce_optimum():
         caps = {node: {s: rng.randint(0, 10) for s in services} for node in range(n)}
         loads = {node: {s: rng.randint(0, 10) for s in services} for node in range(n)}
         src = rng.randrange(n)
-        per_service = {}
+        overloaded = {}
         for s in services:
             obs, base = loads[src][s], caps[src][s]
-            per_service[s] = Overload(obs, base) if obs > base else None
-        verdict = DetectionVerdict(node=src, window=0, per_service=per_service)
+            if obs > base:
+                overloaded[s] = Overload(obs, base)
+        verdict = DetectionVerdict(node=src, window=0, overloaded=overloaded)
         if not verdict.overloaded:
             continue
         view = ClusterView(

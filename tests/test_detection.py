@@ -13,7 +13,6 @@ from ubisim.detection import (
     KnowledgeBase,
     Overload,
     UnknownNode,
-    VerdictRecord,
     build_knowledge_base,
     collect,
     control_compare,
@@ -138,21 +137,24 @@ class TestControlCompare:
         kb = simple_kb()
         verdict = control_compare(sample_for(TABLE_OVERLOADS), kb)
         fresh = control_compare(sample_for(TABLE_OVERLOADS), kb)
-        assert verdict.overloaded is verdict.overloaded
-        # the cached value is not a field: equality and repr ignore it
+        # ``overloaded`` is a field control_compare fills, not a property
+        assert not isinstance(DetectionVerdict.overloaded, property)
+        assert verdict.alerted
+        # the cached ``alerted`` is not compared: equality and repr ignore it
         assert verdict == fresh and repr(verdict) == repr(fresh)
 
     def test_boundary_at_baseline_is_normal(self):
         kb = simple_kb()
         verdict = control_compare(sample_for({"Print": 34}), kb)
-        assert verdict.per_service["Print"] is None
+        assert verdict.overloaded == {}
         verdict = control_compare(sample_for({"Print": 35}), kb)
-        assert verdict.per_service["Print"] == Overload(35, 34)
+        assert verdict.overloaded == {"Print": Overload(35, 34)}
 
     def test_all_zero_all_normal(self):
         kb = simple_kb()
         verdict = control_compare(sample_for({s: 0 for s in TABLE_BASELINES}), kb)
-        assert verdict.all_normal
+        assert verdict.overloaded == {} and verdict.energy_anomaly is None
+        assert not verdict.alerted
 
     def test_unknown_node(self):
         kb = simple_kb(node=1)
@@ -185,7 +187,7 @@ class TestControlCompare:
         assert ok.energy_anomaly is None  # 22 == 20 * 1.1 exactly: not strict
         bad = control_compare(sample_for(observed, drawn=23, kb=kb), kb)
         assert bad.energy_anomaly == EnergyAnomaly(drawn=23, expected=20)
-        assert not bad.all_normal
+        assert bad.alerted
 
 
 # (tolerance, expected, limit): ``expected * (1.0 + tolerance)`` in floats
@@ -266,8 +268,10 @@ class TestKnowledgeBaseIndex:
                 expected = {}
                 for svc, load in observed.items():
                     base = self.CAPACITIES[node][svc]
-                    expected[svc] = Overload(load, base) if load > base else None
-                assert verdict.per_service == expected
+                    if load > base:
+                        expected[svc] = Overload(load, base)
+                # only the overloaded services, in the sample's order
+                assert list(verdict.overloaded.items()) == list(expected.items())
 
     def test_baseline_is_read_once_into_the_index(self):
         kb = self._kb()
@@ -279,53 +283,73 @@ class TestKnowledgeBaseIndex:
             kb.baseline_for(2, "Print")
 
 
-# The shapes of every DetectionVerdict(...) call in the tests, with the repr
-# each had while ``overloaded`` was a property rather than a field.
+# Per-service tables of (observed, baseline), with normal services among
+# them, and the repr of the verdict each compares to. ``drawn`` is the
+# window's energy draw against an expectation of 100 mJ when nothing is served.
 VERDICT_REPRS = [
-    (dict(node=1, window=0, per_service={"View": None}),
-     "DetectionVerdict(node=1, window=0, per_service={'View': None}, energy_anomaly=None)"),
-    (dict(node=1, window=0, per_service={"View": Overload(124, 123)}),
-     "DetectionVerdict(node=1, window=0, per_service={'View': Overload(observed=124, "
+    (dict(node=1, window=0, loads={"View": (0, 123)}),
+     "DetectionVerdict(node=1, window=0, overloaded={}, energy_anomaly=None)"),
+    (dict(node=1, window=0, loads={"View": (124, 123)}),
+     "DetectionVerdict(node=1, window=0, overloaded={'View': Overload(observed=124, "
      "baseline=123)}, energy_anomaly=None)"),
-    (dict(node=1, window=0, per_service={"View": None}, energy_anomaly=EnergyAnomaly(200, 100)),
-     "DetectionVerdict(node=1, window=0, per_service={'View': None}, "
+    (dict(node=1, window=0, loads={"View": (0, 123)}, drawn=200),
+     "DetectionVerdict(node=1, window=0, overloaded={}, "
      "energy_anomaly=EnergyAnomaly(drawn=200, expected=100))"),
-    (dict(node=1, window=1, per_service={"Print": None}),
-     "DetectionVerdict(node=1, window=1, per_service={'Print': None}, energy_anomaly=None)"),
-    (dict(node=1, window=1, per_service={"Print": Overload(50, 34)}),
-     "DetectionVerdict(node=1, window=1, per_service={'Print': Overload(observed=50, "
+    (dict(node=1, window=1, loads={"Print": (34, 34)}),
+     "DetectionVerdict(node=1, window=1, overloaded={}, energy_anomaly=None)"),
+    (dict(node=1, window=1, loads={"Print": (50, 34)}),
+     "DetectionVerdict(node=1, window=1, overloaded={'Print': Overload(observed=50, "
      "baseline=34)}, energy_anomaly=None)"),
-    (dict(node=3, window=2, per_service={"Print": Overload(50, 34), "Scan": None,
-                                         "View": Overload(150, 123)}),
-     "DetectionVerdict(node=3, window=2, per_service={'Print': Overload(observed=50, "
-     "baseline=34), 'Scan': None, 'View': Overload(observed=150, baseline=123)}, "
-     "energy_anomaly=None)"),
+    (dict(node=3, window=2, loads={"Print": (50, 34), "Scan": (8, 8), "View": (150, 123)}),
+     "DetectionVerdict(node=3, window=2, overloaded={'Print': Overload(observed=50, "
+     "baseline=34), 'View': Overload(observed=150, baseline=123)}, energy_anomaly=None)"),
 ]
+
+# (overloaded, energy_anomaly, alerted): the verdict's four kinds
+VERDICTS = {
+    "normal": ({}, None, False),
+    "overload-only": ({"View": Overload(124, 123)}, None, True),
+    "energy-only": ({}, EnergyAnomaly(200, 100), True),
+    "both": ({"Print": Overload(50, 34), "View": Overload(150, 123)},
+             EnergyAnomaly(200, 100), True),
+}
 
 
 class TestDetectionVerdict:
     @pytest.mark.parametrize("kwargs,expected_repr", VERDICT_REPRS)
     def test_overloaded_is_per_service_without_normals(self, kwargs, expected_repr):
-        verdict = DetectionVerdict(**kwargs)
-        per_service = kwargs["per_service"]
-        assert verdict.overloaded == {s: o for s, o in per_service.items() if o is not None}
+        node, loads = kwargs["node"], kwargs["loads"]
+        kb = simple_kb({s: base for s, (_obs, base) in loads.items()}, node=node, window=100)
+        observed = {s: obs for s, (obs, _base) in loads.items()}
+        sample = BehaviorSample(node, kwargs["window"], observed, kwargs.get("drawn", 0))
+        verdict = control_compare(sample, kb)
+        expected = {s: Overload(obs, base) for s, (obs, base) in loads.items() if obs > base}
+        assert list(verdict.overloaded.items()) == list(expected.items())
         assert repr(verdict) == expected_repr
-        assert verdict == DetectionVerdict(**kwargs)
-        assert verdict != DetectionVerdict(**{**kwargs, "per_service": {"Other": None}})
 
-    def test_overloaded_is_not_a_constructor_argument(self):
+    @pytest.mark.parametrize("kind", sorted(VERDICTS))
+    def test_alerted_iff_not_normal(self, kind):
+        overloaded, anomaly, alerted = VERDICTS[kind]
+        verdict = DetectionVerdict(1, 0, overloaded, anomaly)
+        assert verdict.alerted is alerted
+        assert verdict.overloaded is overloaded
+
+    @pytest.mark.parametrize("kind", sorted(VERDICTS))
+    def test_alerted_takes_no_part_in_equality(self, kind):
+        overloaded, anomaly, alerted = VERDICTS[kind]
+        verdict = DetectionVerdict(1, 0, overloaded, anomaly)
+        flipped = DetectionVerdict(1, 0, dict(overloaded), anomaly)
+        flipped.alerted = not alerted
+        assert verdict == flipped and repr(verdict) == repr(flipped)
+        assert "alerted" not in repr(verdict)
+        assert verdict != DetectionVerdict(1, 0, {"Other": Overload(2, 1)}, anomaly)
+        assert verdict != DetectionVerdict(1, 1, overloaded, anomaly)
+
+    def test_alerted_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
-            DetectionVerdict(1, 0, {"View": None}, None, {})
-
-
-class TestVerdictRecord:
-    def test_alerted_iff_verdict_is_not_all_normal(self):
-        normal = DetectionVerdict(1, 0, {"View": None})
-        overloaded = DetectionVerdict(1, 0, {"View": Overload(124, 123)})
-        energy_only = DetectionVerdict(1, 0, {"View": None}, EnergyAnomaly(200, 100))
-        assert not VerdictRecord(0, 1, normal).alerted
-        assert VerdictRecord(0, 1, overloaded).alerted
-        assert VerdictRecord(0, 1, energy_only).alerted
+            DetectionVerdict(1, 0, {}, None, False)
+        with pytest.raises(TypeError):
+            DetectionVerdict(1, 0, {}, alerted=True)
 
 
 class TestReportAlert:
@@ -403,8 +427,8 @@ class TestDetectionLatency:
         for record in log.injections:
             assert record.above_baseline
             hits = [
-                vr for vr in log.verdicts
-                if vr.node == record.node and vr.window == record.window and vr.alerted
+                v for v in log.verdicts
+                if v.node == record.node and v.window == record.window and v.alerted
             ]
             assert len(hits) == 1
-            assert record.service in hits[0].verdict.overloaded
+            assert record.service in hits[0].overloaded

@@ -130,7 +130,7 @@ class TestControllerDeduplication:
         engine.sim.run_until(19)  # agents live, window 1 in progress
         controller = engine.controllers[0]
         verdict = DetectionVerdict(
-            node=1, window=1, per_service={"Print": Overload(50, 34)}
+            node=1, window=1, overloaded={"Print": Overload(50, 34)}
         )
         engine._handle_alert(controller, verdict)
         engine._handle_alert(controller, verdict)

@@ -150,16 +150,14 @@ class TestEnergyAnomalyAlerts:
         engine = Engine(scenario)
         engine.kb.msg_budget = {n: 0 for n in engine.kb.msg_budget}
         log = engine.run()
-        anomalous = [
-            vr for vr in log.verdicts if vr.verdict.energy_anomaly is not None
-        ]
+        anomalous = [v for v in log.verdicts if v.energy_anomaly is not None]
         assert anomalous
-        assert all(vr.alerted for vr in anomalous)
+        assert all(v.alerted for v in anomalous)
         assert log.episodes == []  # no load to migrate
 
     def test_reference_run_has_no_energy_anomalies(self):
         _report, log = run_scenario(load_bundled_scenario())
-        assert all(vr.verdict.energy_anomaly is None for vr in log.verdicts)
+        assert all(v.energy_anomaly is None for v in log.verdicts)
 
 
 class TestLossyRadio:
@@ -182,11 +180,7 @@ class TestInjectionAlertCoupling:
 
         for seed in (3, 17, 42, 88, 131):
             _report, log = run_scenario(parse_scenario(random_scenario_text(seed)))
-            alerted = {
-                (vr.node, vr.window): vr.verdict
-                for vr in log.verdicts
-                if vr.alerted
-            }
+            alerted = {(v.node, v.window): v for v in log.verdicts if v.alerted}
             for rec in log.injections:
                 if not rec.above_baseline:
                     continue
@@ -269,10 +263,9 @@ class TestCollectorPause:
 
 @pytest.mark.parametrize("record", [
     simkernel.Event, simkernel.WindowBoundary, simkernel.Arrival, simkernel.InjectOverload,
-    simkernel.Resume, simkernel.Message, simkernel.LocalDelivery, simkernel.MsgDeliver,
-    simkernel.InjectionRecord, model.Activity, detection.Overload, detection.EnergyAnomaly,
-    detection.BehaviorSample, detection.DetectionAgent, detection.VerdictRecord,
-    detection.DetectionVerdict,
+    simkernel.Resume, simkernel.Message, simkernel.LocalDelivery, simkernel.InjectionRecord,
+    model.Activity, detection.Overload, detection.EnergyAnomaly, detection.BehaviorSample,
+    detection.DetectionAgent, detection.DetectionVerdict,
 ], ids=lambda cls: cls.__name__)
 def test_per_node_window_records_have_slots(record):
     # made once per event or node-window: no per-instance __dict__

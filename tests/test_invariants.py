@@ -120,14 +120,19 @@ def observed_run(scenario, monkeypatch):
 
 def assert_overloads_match_served(log):
     """Each verdict's overloads equal the served counts the log archived."""
-    for vr in log.verdicts:
-        served = log.window_served[vr.node][vr.window]
-        for svc, o in vr.verdict.overloaded.items():
-            assert o.observed == served[svc], (vr.node, vr.window, svc)
+    for v in log.verdicts:
+        served = log.window_served[v.node][v.window]
+        for svc, o in v.overloaded.items():
+            assert o.observed == served[svc], (v.node, v.window, svc)
 
 
 def assert_correction_bookkeeping(engine, log):
-    """Episodes that moved nothing and the controllers' views are consistent."""
+    """Episodes that moved nothing and the controllers' views are consistent.
+
+    A node in a live controller's view is in no other controller's view, and
+    ``sim.head_of`` names that controller's head: ``Engine._on_depleted``
+    looks the controller up by ``head_of`` alone.
+    """
     for ep in log.episodes:
         if all(se.moved == 0 for se in ep.services.values()):
             assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
@@ -136,6 +141,11 @@ def assert_correction_bookkeeping(engine, log):
     for head, controller in engine.controllers.items():
         if sim.devices[head].status is not Status.DEPLETED:
             assert list(controller.view.entries) == sorted({head} | sim.clusters[head]), head
+            for n in controller.view.entries:
+                assert sim.head_of[n] == head, (n, head)
+                others = [h for h, c in engine.controllers.items()
+                          if h != head and n in c.view.entries]
+                assert not others, (n, head, others)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

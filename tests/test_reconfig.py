@@ -39,7 +39,7 @@ def view_of(caps_loads, head=0, window=1):
 def verdict_of(node, overloads, window=1):
     return DetectionVerdict(
         node=node, window=window,
-        per_service={s: Overload(obs, base) for s, (obs, base) in overloads.items()},
+        overloaded={s: Overload(obs, base) for s, (obs, base) in overloads.items()},
     )
 
 
@@ -81,7 +81,7 @@ class TestPlanReconfiguration:
 
     def test_no_overload_empty_plan(self):
         view = view_of({0: ({"Print": 34}, {"Print": 0})})
-        verdict = DetectionVerdict(node=1, window=1, per_service={"Print": None})
+        verdict = DetectionVerdict(node=1, window=1, overloaded={})
         plan = plan_reconfiguration(view, verdict)
         assert plan.empty and plan.residual == {}
 

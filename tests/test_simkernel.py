@@ -109,7 +109,7 @@ class TestSend:
 
     def test_every_tx_matches_rx_or_drop(self):
         from ubisim.engine import Engine
-        from ubisim.simkernel import MsgDeliver
+        from ubisim.simkernel import Message
 
         scenario = parse_scenario(random_scenario_text(77))
         scenario.run.drop = 0.3
@@ -120,7 +120,7 @@ class TestSend:
         delivered = kinds.count("deliver")
         dropped = kinds.count("drop")
         in_flight = sum(
-            1 for _, _, ev in engine.sim.queue if isinstance(ev.payload, MsgDeliver)
+            1 for _, _, ev in engine.sim.queue if isinstance(ev.payload, Message)
         )
         # every transmission either got a delivery event, an explicit drop
         # record, or is still in flight at the horizon
