@@ -67,7 +67,6 @@ class ServiceEpisode:
     excess_before: int
     moved: int
     residual: int
-    excess_after: int | None = None
     outcome: object = None  # reconfig.Outcome once resolved
 
 
@@ -75,8 +74,12 @@ class ServiceEpisode:
 class EpisodeRecord:
     """One applied reconfiguration plan and its eventual outcome.
 
-    The after totals and Jain indices are copies of the before ones when no
-    directive moved a non-zero amount, the only way a plan changes loads.
+    ``services`` owns the per-service books: each service's excess at the
+    verdict, what moved and what was left. The episode's outcome is
+    ``service_outcome`` of their summed excess and the summed excess the
+    next-window sample still shows. The after totals and Jain indices are
+    copies of the before ones when no directive moved a non-zero amount, the
+    only way a plan changes loads.
     """
 
     window: int
@@ -90,7 +93,6 @@ class EpisodeRecord:
     totals_after: dict[Service, int]
     jain_before: dict[Service, Fraction]
     jain_after: dict[Service, Fraction]
-    verdict: DetectionVerdict
     outcome: object = None
     post_window: int | None = None
 
@@ -110,13 +112,12 @@ def _collector_paused():
 class _Controller:
     """Cluster-head state: the view of the cluster and the plans made.
 
-    The view's entries are keyed by the cluster's nodes, head included, in
-    id order; each holds the knowledge base's capacity dict for its node.
-    Re-formation replaces the controller.
+    The view owns the head's id. Its entries are keyed by the cluster's
+    nodes, head included, in id order; each holds the knowledge base's
+    capacity dict for its node. Re-formation replaces the controller.
     """
 
     def __init__(self, head: int, nodes, kb):
-        self.head = head
         entries = {n: ViewEntry(node=n, capacities=kb.capacities[n]) for n in sorted(nodes)}
         self.view = ClusterView(head=head, entries=entries)
         self.planned: set[tuple[int, int]] = set()
@@ -188,10 +189,7 @@ class Engine:
             agent = self.agents[host]
             if sim.devices[host].status is Status.DEPLETED:
                 continue
-            observed = sim.served_snapshot.get(host)
-            if observed is None:
-                continue
-            sample = collect(agent, window, observed, sim.window_acc[host])
+            sample = collect(agent, window, sim.served_snapshot[host], sim.window_acc[host])
             verdict = control_compare(sample, self.kb)
             samples[host] = sample
             verdicts[host] = verdict
@@ -220,22 +218,15 @@ class Engine:
         for node in sorted(self.pending):
             if node not in samples:
                 continue
-            remaining = []
-            for ep in self.pending[node]:
-                if ep.post_window is not None or window <= ep.window:
-                    remaining.append(ep)
-                    continue
-                result = correction_outcome(ep.verdict, samples[node], self.kb)
-                ep.outcome = result.outcome
-                ep.post_window = window
+            after = correction_outcome(samples[node], self.kb)
+            for ep in self.pending.pop(node):  # every one is from an earlier window
                 for svc, se in ep.services.items():
-                    se.excess_after = result.remaining.get(svc, 0)
-                    se.outcome = service_outcome(se.excess_before, se.excess_after)
+                    se.outcome = service_outcome(se.excess_before, after.get(svc, 0))
+                ep.outcome = service_outcome(
+                    sum(se.excess_before for se in ep.services.values()), sum(after.values()))
+                ep.post_window = window
                 self.sim.emit(self.sim.clock, node, "outcome",
-                              f"window={ep.window} result={result.outcome.value}")
-            self.pending[node] = remaining
-            if not remaining:
-                del self.pending[node]
+                              f"window={ep.window} result={ep.outcome.value}")
 
     # -- message handling --
 
@@ -269,15 +260,14 @@ class Engine:
             return  # energy-only alert: nothing to migrate
         try:
             plan = plan_reconfiguration(
-                controller.view, verdict, mode=self.mode,
-                staleness_max=self.scenario.run.staleness_max,
+                controller.view, verdict, staleness_max=self.scenario.run.staleness_max,
             )
         except StaleView:
             controller.planned.discard(key)
-            sim.emit(sim.clock, controller.head, "defer",
+            sim.emit(sim.clock, controller.view.head, "defer",
                      f"node={verdict.node} window={verdict.window}")
             return
-        totals_before, jain_before = self._balance(controller.view.entries, plan.excess)
+        totals_before, jain_before = self._balance(controller.view.entries, plan.residual)
         if self.mode is Mode.DYNAMIC:
             result = apply_dynamic(plan, sim)
             downtime = 0
@@ -289,21 +279,21 @@ class Engine:
                 controller.view.adjust(directive.service, directive.source,
                                        directive.dest, amount)
         if any(amount for _directive, amount in result.executed):
-            totals_after, jain_after = self._balance(controller.view.entries, plan.excess)
+            totals_after, jain_after = self._balance(controller.view.entries, plan.residual)
         else:
             totals_after, jain_after = dict(totals_before), dict(jain_before)
         episode = EpisodeRecord(
             window=verdict.window,
             node=verdict.node,
-            head=controller.head,
+            head=plan.head,
             mode=self.mode.value,
             services={
                 svc: ServiceEpisode(
-                    excess_before=plan.excess[svc],
+                    excess_before=verdict.overloaded[svc].excess,
                     moved=result.moved.get(svc, 0),
                     residual=result.residual.get(svc, 0),
                 )
-                for svc in plan.excess
+                for svc in plan.residual
             },
             involved=result.involved,
             downtime_ticks=downtime,
@@ -311,12 +301,11 @@ class Engine:
             totals_after=totals_after,
             jain_before=jain_before,
             jain_after=jain_after,
-            verdict=verdict,
         )
         sim.log.episodes.append(episode)
         self.pending.setdefault(verdict.node, []).append(episode)
         moved = sum(result.moved.values())
-        sim.emit(sim.clock, controller.head, "plan",
+        sim.emit(sim.clock, plan.head, "plan",
                  f"node={verdict.node} window={verdict.window} "
                  f"directives={len(plan.directives)} moved={moved} "
                  f"residual={sum(result.residual.values())}")

@@ -26,10 +26,6 @@ class StaleView(SimulationError):
     """Every peer entry is older than the staleness limit; plan deferred."""
 
 
-class TargetUnavailable(SimulationError):
-    """A directive's endpoint depleted between planning and application."""
-
-
 class Mode(Enum):
     DYNAMIC = "dynamic"
     STATIC = "static"
@@ -95,28 +91,28 @@ class MigrationDirective:
 
 @dataclass
 class ReconfigPlan:
+    """The directives planned for one alerting node, and what they leave.
+
+    ``residual`` has one key per overloaded service, in sorted order, so it
+    is also the plan's service list. The excess each service started with is
+    owned by the verdict's ``Overload.excess``.
+    """
+
     head: int
     node: int
-    window: int
-    mode: Mode
     directives: list[MigrationDirective] = field(default_factory=list)
     residual: dict[Service, int] = field(default_factory=dict)
-    excess: dict[Service, int] = field(default_factory=dict)
-
-    @property
-    def empty(self) -> bool:
-        return not self.directives
 
 
 def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
-                         mode: Mode = Mode.DYNAMIC, staleness_max: int = 2) -> ReconfigPlan:
+                         staleness_max: int = 2) -> ReconfigPlan:
     """Water-fill each overloaded service's excess onto the freshest peers.
 
     Pure in (view, verdict): identical inputs yield the identical directive
     list. Raises StaleView when peers exist but none has been heard from
     within ``staleness_max`` windows of the verdict's window.
     """
-    plan = ReconfigPlan(head=view.head, node=verdict.node, window=verdict.window, mode=mode)
+    plan = ReconfigPlan(head=view.head, node=verdict.node)
     overloaded = verdict.overloaded
     if not overloaded:
         return plan
@@ -129,7 +125,7 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     if peers and not eligible:
         raise StaleView(f"no fresh view of any peer of node {verdict.node}")
     for service in sorted(overloaded):
-        remaining = plan.excess[service] = overloaded[service].excess
+        remaining = overloaded[service].excess
         for neg_spare, node in sorted((-e.spare(service), e.node) for e in eligible):
             take = min(remaining, -neg_spare)
             if take < 1:
@@ -148,17 +144,18 @@ class ApplyResult:
     residual: dict[Service, int]
     involved: tuple[int, ...]
     executed: list[tuple[MigrationDirective, int]] = field(default_factory=list)
-    skipped: int = 0
+
+
+def _live(directive: MigrationDirective, sim) -> bool:
+    """Neither endpoint has depleted since planning; otherwise the directive is skipped."""
+    return (sim.devices[directive.source].status is not Status.DEPLETED
+            and sim.devices[directive.dest].status is not Status.DEPLETED)
 
 
 def _execute(directive: MigrationDirective, sim) -> int:
     """Move the directive's load between the two devices; returns the amount moved."""
     src = sim.devices[directive.source]
     dst = sim.devices[directive.dest]
-    if dst.status is Status.DEPLETED:
-        raise TargetUnavailable(f"destination {directive.dest} depleted")
-    if src.status is Status.DEPLETED:
-        raise TargetUnavailable(f"source {directive.source} depleted")
     amount = min(directive.amount, src.load.get(directive.service, 0))
     if amount:
         src.load[directive.service] -= amount
@@ -170,21 +167,33 @@ def _execute(directive: MigrationDirective, sim) -> int:
     return amount
 
 
-def _apply(plan: ReconfigPlan, sim) -> ApplyResult:
-    moved: dict[Service, int] = {s: 0 for s in plan.excess}
+def _notify(plan: ReconfigPlan, sim) -> None:
+    """One reconfigure message per plan, head to the reconfigured node."""
+    if not plan.directives or plan.node == plan.head:
+        return
+    try:
+        sim.send(plan.head, plan.node, "reconfigure")
+    except (Unreachable, SenderDepleted):
+        pass
+
+
+def apply_dynamic(plan: ReconfigPlan, sim) -> ApplyResult:
+    """Apply every directive atomically within the current tick, no downtime.
+
+    A directive whose endpoint has depleted is skipped, with one ``skip``
+    trace line, and its amount joins the residual.
+    """
+    moved: dict[Service, int] = {s: 0 for s in plan.residual}
     residual = dict(plan.residual)
     involved: set[int] = set()
     executed: list[tuple[MigrationDirective, int]] = []
-    skipped = 0
     for directive in plan.directives:
-        try:
-            amount = _execute(directive, sim)
-        except TargetUnavailable:
+        if not _live(directive, sim):
             residual[directive.service] = residual.get(directive.service, 0) + directive.amount
-            skipped += 1
             sim.emit(sim.clock, directive.source, "skip",
                      f"service={directive.service} to={directive.dest} amount={directive.amount}")
             continue
+        amount = _execute(directive, sim)
         executed.append((directive, amount))
         moved[directive.service] = moved.get(directive.service, 0) + amount
         if amount < directive.amount:
@@ -192,40 +201,17 @@ def _apply(plan: ReconfigPlan, sim) -> ApplyResult:
         involved.update((directive.source, directive.dest))
     _notify(plan, sim)
     return ApplyResult(moved=moved, residual=residual,
-                       involved=tuple(sorted(involved)), executed=executed, skipped=skipped)
-
-
-def _notify(plan: ReconfigPlan, sim) -> None:
-    """One reconfigure message per plan, head to the reconfigured node."""
-    if plan.empty or plan.node == plan.head:
-        return
-    try:
-        sim.send(plan.head, plan.node, "reconfigure", plan)
-    except (Unreachable, SenderDepleted):
-        pass
-
-
-def apply_dynamic(plan: ReconfigPlan, sim) -> ApplyResult:
-    """Apply every directive atomically within the current tick, no downtime."""
-    if plan.mode is not Mode.DYNAMIC:
-        raise ValueError("plan is not a dynamic-mode plan")
-    return _apply(plan, sim)
+                       involved=tuple(sorted(involved)), executed=executed)
 
 
 def apply_static(plan: ReconfigPlan, sim, quiesce_ticks: int = 2) -> ApplyResult:
-    """Quiesce the involved devices, move the load, then schedule their resume.
+    """Quiesce the involved devices and schedule their resume, then move the
+    load with ``apply_dynamic``.
 
     Quiesced devices reject arrivals (counted as lost by the kernel) and
     serve nothing while stopped; each records ``quiesce_ticks`` of downtime.
     """
-    if plan.mode is not Mode.STATIC:
-        raise ValueError("plan is not a static-mode plan")
-    live = [
-        d for d in plan.directives
-        if sim.devices[d.source].status is not Status.DEPLETED
-        and sim.devices[d.dest].status is not Status.DEPLETED
-    ]
-    involved = sorted({n for d in live for n in (d.source, d.dest)})
+    involved = sorted({n for d in plan.directives if _live(d, sim) for n in (d.source, d.dest)})
     for nid in involved:
         dev = sim.devices[nid]
         if dev.status is Status.RUNNING:
@@ -233,7 +219,7 @@ def apply_static(plan: ReconfigPlan, sim, quiesce_ticks: int = 2) -> ApplyResult
             sim.log.downtime[nid] = sim.log.downtime.get(nid, 0) + quiesce_ticks
             sim.emit(sim.clock, nid, "quiesce", f"ticks={quiesce_ticks}")
             sim.schedule(sim.clock + quiesce_ticks, nid, Resume(nid))
-    return _apply(plan, sim)
+    return apply_dynamic(plan, sim)
 
 
 class Outcome(Enum):
@@ -242,33 +228,23 @@ class Outcome(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
-    outcome: Outcome
-    remaining: dict[Service, int]
+def correction_outcome(post_window_sample, kb: KnowledgeBase) -> dict[Service, int]:
+    """The excess each service still shows in the node's next-window sample.
 
-
-def correction_outcome(verdict: DetectionVerdict, post_window_sample,
-                       kb: KnowledgeBase) -> CorrectionResult:
-    """Judge a correction by the node's next-window behavior.
-
-    Corrected iff no service is overloaded any more; Partial iff some excess
-    remains but strictly less than before; Failed otherwise. The energy axis
-    does not participate.
+    Only services still overloaded are listed, so each value is at least 1.
+    The energy axis does not participate; ``service_outcome`` judges the
+    numbers.
     """
     post = control_compare(post_window_sample, kb)
-    after = {s: o.excess for s, o in post.overloaded.items()}
-    if not after:
-        return CorrectionResult(Outcome.CORRECTED, {})
-    before_total = sum(o.excess for o in verdict.overloaded.values())
-    after_total = sum(after.values())
-    if 0 < after_total < before_total:
-        return CorrectionResult(Outcome.PARTIAL, after)
-    return CorrectionResult(Outcome.FAILED, after)
+    return {s: o.excess for s, o in post.overloaded.items()}
 
 
 def service_outcome(excess_before: int, excess_after: int) -> Outcome:
-    """Per-service refinement of the episode outcome, used by the stats."""
+    """The one outcome rule, for one service or for a whole episode's sums.
+
+    Corrected iff no excess remains; Partial iff some remains but strictly
+    less than before; Failed otherwise.
+    """
     if excess_after == 0:
         return Outcome.CORRECTED
     if excess_after < excess_before:

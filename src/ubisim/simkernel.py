@@ -150,8 +150,9 @@ class RunLog:
     module. Serialization is deterministic, so equal logs mean equal runs.
 
     ``window_served[node][window]`` is the one served dict of that
-    node-window: the sample, the agent's report and the controller's view
-    hold the same object, and none of them mutates it in place.
+    node-window: the sample, the agent's report, the controller's view and
+    the window-end bill hold the same object, and none of them mutates it in
+    place.
     ``verdicts`` holds each compared node-window's ``DetectionVerdict``
     itself, the object the agent reported, in boundary and host order.
     """
@@ -259,10 +260,10 @@ class Simulation:
         """Append one trace line; a dispatched event passes its own ``seq``."""
         if seq is None:
             seq = next(self._seq)
-        line = f"{tick} {seq} {target} {kind}"
         if details:
-            line += f" {details}"
-        self.log.lines.append(line)
+            self.log.lines.append(f"{tick} {seq} {target} {kind} {details}")
+        else:
+            self.log.lines.append(f"{tick} {seq} {target} {kind}")
 
     # -- scheduling and stepping --
 
@@ -439,8 +440,7 @@ class Simulation:
             act = acts.get(nid) or Activity()
             if window_last:
                 if dev.status is Status.RUNNING:
-                    served = dict(dev.load)
-                    act.requests_served = {s: c for s, c in served.items() if c}
+                    served = act.requests_served = dict(dev.load)
                 else:  # quiesced devices serve nothing
                     served = dict.fromkeys(dev.load, 0)
                 self.served_snapshot[nid] = served

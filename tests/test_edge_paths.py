@@ -5,13 +5,7 @@ import pytest
 
 from ubisim.clustering import Cluster
 from ubisim.model import EnergyParams, Status
-from ubisim.reconfig import (
-    MigrationDirective,
-    Mode,
-    ReconfigPlan,
-    apply_dynamic,
-    apply_static,
-)
+from ubisim.reconfig import MigrationDirective, ReconfigPlan, apply_dynamic
 from ubisim.scenario import (
     MalformedLine,
     NegativeValue,
@@ -86,32 +80,21 @@ class TestDirectiveDegradation:
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         sim.devices[1].energy_mj = 0
         sim.devices[1].status = Status.DEPLETED
-        plan = ReconfigPlan(
-            head=0, node=1, window=1, mode=Mode.DYNAMIC,
-            directives=[MigrationDirective("S", 1, 0, 16)],
-            residual={"S": 0}, excess={"S": 16},
-        )
+        plan = ReconfigPlan(head=0, node=1, directives=[MigrationDirective("S", 1, 0, 16)],
+                            residual={"S": 0})
         result = apply_dynamic(plan, sim)
-        assert result.skipped == 1 and result.residual == {"S": 16}
+        assert [l.split()[3] for l in sim.log.lines].count("skip") == 1
+        assert result.residual == {"S": 16}
 
     def test_source_load_below_directive_amount(self):
         # the plan was made against a stale view; only what exists moves
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 10}})
-        plan = ReconfigPlan(
-            head=0, node=1, window=1, mode=Mode.DYNAMIC,
-            directives=[MigrationDirective("S", 1, 0, 16)],
-            residual={"S": 0}, excess={"S": 16},
-        )
+        plan = ReconfigPlan(head=0, node=1, directives=[MigrationDirective("S", 1, 0, 16)],
+                            residual={"S": 0})
         result = apply_dynamic(plan, sim)
         assert result.moved == {"S": 10}
         assert result.residual == {"S": 6}
         assert sim.devices[1].load["S"] == 0
-
-    def test_static_mode_check(self):
-        sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        plan = ReconfigPlan(head=0, node=1, window=1, mode=Mode.DYNAMIC)
-        with pytest.raises(ValueError):
-            apply_static(plan, sim)
 
     def test_directive_validation(self):
         with pytest.raises(ValueError):

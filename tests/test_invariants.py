@@ -127,13 +127,17 @@ def assert_overloads_match_served(log):
 
 
 def assert_correction_bookkeeping(engine, log):
-    """Episodes that moved nothing and the controllers' views are consistent.
+    """Episodes' books and the controllers' views are consistent.
 
-    A node in a live controller's view is in no other controller's view, and
+    Each episode service's excess is either moved or left as residual, and
+    an episode that moved nothing changed no total or Jain index. A node in
+    a live controller's view is in no other controller's view, and
     ``sim.head_of`` names that controller's head: ``Engine._on_depleted``
     looks the controller up by ``head_of`` alone.
     """
     for ep in log.episodes:
+        for svc, se in ep.services.items():
+            assert se.moved + se.residual == se.excess_before, (ep.node, ep.window, svc)
         if all(se.moved == 0 for se in ep.services.values()):
             assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
             assert ep.totals_after == ep.totals_before, (ep.node, ep.window)

@@ -11,7 +11,6 @@ from ubisim.model import EnergyParams, Status
 from ubisim.reconfig import (
     ClusterView,
     MigrationDirective,
-    Mode,
     Outcome,
     ReconfigPlan,
     StaleView,
@@ -83,7 +82,7 @@ class TestPlanReconfiguration:
         view = view_of({0: ({"Print": 34}, {"Print": 0})})
         verdict = DetectionVerdict(node=1, window=1, overloaded={})
         plan = plan_reconfiguration(view, verdict)
-        assert plan.empty and plan.residual == {}
+        assert not plan.directives and plan.residual == {}
 
     def test_saturation_leaves_residual(self):
         view = view_of({
@@ -116,7 +115,7 @@ class TestPlanReconfiguration:
     def test_no_peers_full_residual(self):
         view = view_of({1: ({"S": 10}, {"S": 20})})
         plan = plan_reconfiguration(view, verdict_of(1, {"S": (20, 10)}))
-        assert plan.empty
+        assert not plan.directives
         assert plan.residual == {"S": 10}
 
     def test_deterministic_directive_list(self):
@@ -200,7 +199,7 @@ class TestPlanReconfiguration:
             assert plan.residual[svc] == max(0, obs - base - spare)
 
 
-def cluster_sim(loads_by_node, caps=None, mode=Mode.DYNAMIC):
+def cluster_sim(loads_by_node, caps=None):
     caps = caps or {"S": 40}
     devs = []
     ids = sorted(loads_by_node)
@@ -215,12 +214,9 @@ def cluster_sim(loads_by_node, caps=None, mode=Mode.DYNAMIC):
     return sim
 
 
-def plan_16(mode=Mode.DYNAMIC):
-    return ReconfigPlan(
-        head=0, node=1, window=1, mode=mode,
-        directives=[MigrationDirective("S", 1, 0, 16)],
-        residual={"S": 0}, excess={"S": 16},
-    )
+def plan_16():
+    return ReconfigPlan(head=0, node=1, directives=[MigrationDirective("S", 1, 0, 16)],
+                        residual={"S": 0})
 
 
 class TestApplyDynamic:
@@ -238,7 +234,7 @@ class TestApplyDynamic:
     def test_empty_plan_is_noop(self):
         sim = cluster_sim({0: {"S": 3}, 1: {"S": 5}})
         before = {n: dict(d.load) for n, d in sim.devices.items()}
-        plan = ReconfigPlan(head=0, node=1, window=1, mode=Mode.DYNAMIC)
+        plan = ReconfigPlan(head=0, node=1)
         apply_dynamic(plan, sim)
         assert {n: dict(d.load) for n, d in sim.devices.items()} == before
         assert not any(l.split()[3] == "send" for l in sim.log.lines)
@@ -248,20 +244,15 @@ class TestApplyDynamic:
         sim.devices[0].energy_mj = 0
         sim.devices[0].status = Status.DEPLETED
         result = apply_dynamic(plan_16(), sim)
-        assert result.skipped == 1
+        assert [l.split()[3] for l in sim.log.lines].count("skip") == 1
         assert result.residual == {"S": 16}
         assert sim.devices[1].load["S"] == 50
-
-    def test_mode_mismatch_rejected(self):
-        sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        with pytest.raises(ValueError):
-            apply_dynamic(plan_16(mode=Mode.STATIC), sim)
 
 
 class TestApplyStatic:
     def test_quiesces_then_resumes_with_downtime(self):
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        result = apply_static(plan_16(Mode.STATIC), sim, quiesce_ticks=2)
+        result = apply_static(plan_16(), sim, quiesce_ticks=2)
         assert result.moved == {"S": 16}
         assert sim.devices[0].status is Status.QUIESCED
         assert sim.devices[1].status is Status.QUIESCED
@@ -274,7 +265,7 @@ class TestApplyStatic:
         dyn = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         apply_dynamic(plan_16(), dyn)
         stat = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        apply_static(plan_16(Mode.STATIC), stat, quiesce_ticks=2)
+        apply_static(plan_16(), stat, quiesce_ticks=2)
         assert {n: d.load for n, d in dyn.devices.items()} == {
             n: d.load for n, d in stat.devices.items()
         }
@@ -283,7 +274,7 @@ class TestApplyStatic:
         from ubisim.simkernel import Arrival
 
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        apply_static(plan_16(Mode.STATIC), sim, quiesce_ticks=2)
+        apply_static(plan_16(), sim, quiesce_ticks=2)
         sim.schedule(1, 1, Arrival(1, "S", 5))
         sim.schedule(3, 1, Arrival(1, "S", 7))  # after resume
         sim.run_until(5)
@@ -292,7 +283,7 @@ class TestApplyStatic:
 
     def test_empty_plan_quiesces_nothing(self):
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 5}})
-        plan = ReconfigPlan(head=0, node=1, window=1, mode=Mode.STATIC)
+        plan = ReconfigPlan(head=0, node=1)
         apply_static(plan, sim, quiesce_ticks=2)
         assert all(d.status is Status.RUNNING for d in sim.devices.values())
         assert sum(sim.log.downtime.values()) == 0
@@ -312,23 +303,22 @@ class TestCorrectionOutcome:
         return BehaviorSample(node=node, window=2, observed=observed,
                               energy_drawn=kb.expected_energy(node, observed))
 
-    def test_fully_migrated_corrected(self):
+    def _judge(self, observed):
+        """(remaining excess, episode outcome) for node 1 overloaded 50/34."""
         kb = kb_for(1, {"S": 34})
         verdict = verdict_of(1, {"S": (50, 34)})
-        res = correction_outcome(verdict, self._post(1, {"S": 34}, kb), kb)
-        assert res.outcome is Outcome.CORRECTED and res.remaining == {}
+        remaining = correction_outcome(self._post(1, observed, kb), kb)
+        before = sum(o.excess for o in verdict.overloaded.values())
+        return remaining, service_outcome(before, sum(remaining.values()))
+
+    def test_fully_migrated_corrected(self):
+        assert self._judge({"S": 34}) == ({}, Outcome.CORRECTED)
 
     def test_partial_when_excess_shrinks(self):
-        kb = kb_for(1, {"S": 34})
-        verdict = verdict_of(1, {"S": (50, 34)})
-        res = correction_outcome(verdict, self._post(1, {"S": 40}, kb), kb)
-        assert res.outcome is Outcome.PARTIAL and res.remaining == {"S": 6}
+        assert self._judge({"S": 40}) == ({"S": 6}, Outcome.PARTIAL)
 
     def test_failed_when_nothing_moved(self):
-        kb = kb_for(1, {"S": 34})
-        verdict = verdict_of(1, {"S": (50, 34)})
-        res = correction_outcome(verdict, self._post(1, {"S": 50}, kb), kb)
-        assert res.outcome is Outcome.FAILED
+        assert self._judge({"S": 50}) == ({"S": 16}, Outcome.FAILED)
 
     def test_service_outcome_thresholds(self):
         assert service_outcome(16, 0) is Outcome.CORRECTED

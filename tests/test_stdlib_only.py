@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, and every
-module but the package's ``__init__`` uses each name it imports."""
+module but the package's ``__init__``, and every test module, uses each name
+it imports."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import ubisim
 
 PACKAGE = Path(ubisim.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def foreign_imports(path):
@@ -59,8 +61,9 @@ def test_guard_flags_a_third_party_import(tmp_path):
 def test_every_module_uses_what_it_imports():
     # __init__ imports names only to re-export them
     modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 9
-    offenders = {p.name: unused_imports(p) for p in modules}
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 9 and len(tests) >= 10
+    offenders = {str(p.relative_to(p.parents[1])): unused_imports(p) for p in modules + tests}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
