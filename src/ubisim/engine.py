@@ -269,16 +269,18 @@ class Engine:
             return
         totals_before, jain_before = self._balance(controller.view.entries, plan.residual)
         if self.mode is Mode.DYNAMIC:
-            result = apply_dynamic(plan, sim)
+            executed = apply_dynamic(plan, sim)
             downtime = 0
         else:
-            result = apply_static(plan, sim, self.scenario.run.quiesce_ticks)
-            downtime = self.scenario.run.quiesce_ticks if result.involved else 0
-        for directive, amount in result.executed:
+            executed = apply_static(plan, sim, self.scenario.run.quiesce_ticks)
+            downtime = self.scenario.run.quiesce_ticks if executed else 0
+        moved = dict.fromkeys(plan.residual, 0)
+        for directive, amount in executed:
             if amount:
                 controller.view.adjust(directive.service, directive.source,
                                        directive.dest, amount)
-        if any(amount for _directive, amount in result.executed):
+                moved[directive.service] += amount
+        if any(moved.values()):
             totals_after, jain_after = self._balance(controller.view.entries, plan.residual)
         else:
             totals_after, jain_after = dict(totals_before), dict(jain_before)
@@ -290,12 +292,12 @@ class Engine:
             services={
                 svc: ServiceEpisode(
                     excess_before=verdict.overloaded[svc].excess,
-                    moved=result.moved.get(svc, 0),
-                    residual=result.residual.get(svc, 0),
+                    moved=moved[svc],
+                    residual=verdict.overloaded[svc].excess - moved[svc],
                 )
                 for svc in plan.residual
             },
-            involved=result.involved,
+            involved=tuple(sorted({n for d, _amount in executed for n in (d.source, d.dest)})),
             downtime_ticks=downtime,
             totals_before=totals_before,
             totals_after=totals_after,
@@ -304,11 +306,10 @@ class Engine:
         )
         sim.log.episodes.append(episode)
         self.pending.setdefault(verdict.node, []).append(episode)
-        moved = sum(result.moved.values())
         sim.emit(sim.clock, plan.head, "plan",
                  f"node={verdict.node} window={verdict.window} "
-                 f"directives={len(plan.directives)} moved={moved} "
-                 f"residual={sum(result.residual.values())}")
+                 f"directives={len(plan.directives)} moved={sum(moved.values())} "
+                 f"residual={sum(se.residual for se in episode.services.values())}")
 
     def _balance(self, nodes, services):
         """Per service: the total load over ``nodes`` and the exact Jain index

@@ -57,8 +57,9 @@ class Activity:
     """A device's billable activity over a span of ``ticks`` ticks.
 
     The idle draw is charged once per tick of the span; the served requests
-    and messages are charged once, as they all fall on the span's last tick.
-    A span of one tick (the default) is a single tick's activity.
+    and messages are charged once each. Requests are served on the span's
+    last tick; messages may fall on any of its ticks. A span of one tick
+    (the default) is a single tick's activity.
     """
 
     requests_served: dict[Service, int] = field(default_factory=dict)

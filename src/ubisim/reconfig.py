@@ -138,14 +138,6 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     return plan
 
 
-@dataclass
-class ApplyResult:
-    moved: dict[Service, int]
-    residual: dict[Service, int]
-    involved: tuple[int, ...]
-    executed: list[tuple[MigrationDirective, int]] = field(default_factory=list)
-
-
 def _live(directive: MigrationDirective, sim) -> bool:
     """Neither endpoint has depleted since planning; otherwise the directive is skipped."""
     return (sim.devices[directive.source].status is not Status.DEPLETED
@@ -177,34 +169,26 @@ def _notify(plan: ReconfigPlan, sim) -> None:
         pass
 
 
-def apply_dynamic(plan: ReconfigPlan, sim) -> ApplyResult:
+def apply_dynamic(plan: ReconfigPlan, sim) -> list[tuple[MigrationDirective, int]]:
     """Apply every directive atomically within the current tick, no downtime.
 
-    A directive whose endpoint has depleted is skipped, with one ``skip``
-    trace line, and its amount joins the residual.
+    Returns each executed directive with the amount it moved, which is less
+    than planned when the source holds less. A directive whose endpoint has
+    depleted is skipped, with one ``skip`` trace line.
     """
-    moved: dict[Service, int] = {s: 0 for s in plan.residual}
-    residual = dict(plan.residual)
-    involved: set[int] = set()
-    executed: list[tuple[MigrationDirective, int]] = []
+    executed = []
     for directive in plan.directives:
         if not _live(directive, sim):
-            residual[directive.service] = residual.get(directive.service, 0) + directive.amount
             sim.emit(sim.clock, directive.source, "skip",
                      f"service={directive.service} to={directive.dest} amount={directive.amount}")
             continue
-        amount = _execute(directive, sim)
-        executed.append((directive, amount))
-        moved[directive.service] = moved.get(directive.service, 0) + amount
-        if amount < directive.amount:
-            residual[directive.service] = residual.get(directive.service, 0) + directive.amount - amount
-        involved.update((directive.source, directive.dest))
+        executed.append((directive, _execute(directive, sim)))
     _notify(plan, sim)
-    return ApplyResult(moved=moved, residual=residual,
-                       involved=tuple(sorted(involved)), executed=executed)
+    return executed
 
 
-def apply_static(plan: ReconfigPlan, sim, quiesce_ticks: int = 2) -> ApplyResult:
+def apply_static(plan: ReconfigPlan, sim,
+                 quiesce_ticks: int = 2) -> list[tuple[MigrationDirective, int]]:
     """Quiesce the involved devices and schedule their resume, then move the
     load with ``apply_dynamic``.
 

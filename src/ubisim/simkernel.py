@@ -12,16 +12,23 @@ seq it was scheduled with; every other line draws the next seq when it is
 written.
 
 Energy accounting is event-driven. Every device records the last tick it
-was billed through, and is billed only at a tick where it sends or receives
-a message, at the last tick of every measurement window (where each running
-device also pays for serving its current load, which is recorded as the
-window's served sample), and at the tick its idle draw alone empties its
-battery. Each bill charges the idle cost of every tick skipped since the
-last one in the same ``consume_energy`` call, which debits exactly what
-billing every tick would have: a skipped span cannot empty the battery
+was billed through, and is billed at the last tick of every measurement
+window (where each running device also pays for serving its current load,
+which is recorded as the window's served sample) and at the tick its idle
+draw alone empties its battery. A message's tx or rx cost is owed, and rides
+the device's next bill: the window-end bill, a depletion bill or a settling
+``Simulation.energy`` read. The one exception is a device whose radio debt
+exceeds its margin, its charge at its last bill less the idle draw through
+the tick before its next window end (or the horizon) less 1 mJ: it is billed
+at the tick of that message, since it could otherwise run dry unbilled. So a
+live device is billed once per window unless its battery runs low. Each
+bill charges the idle cost of every tick skipped since the last one, and
+the radio owed, in the same ``consume_energy`` call, which debits exactly
+what billing every tick would have: a skipped span cannot empty the battery
 before its last tick. Ticks are settled when the clock first moves past
 them; within a tick, devices are billed in id order, so ``depleted`` lines
-and the ``on_depleted`` hook keep their place in the trace.
+and the ``on_depleted`` hook keep their place in the trace. Radio at or past
+the horizon is never billed.
 
 The protocol hooks are the engine's only for the length of ``Engine.run``,
 which puts the kernel's no-ops back when it returns or raises, so a finished
@@ -232,8 +239,10 @@ class Simulation:
         # event-driven billing state; see the module docstring
         self._ids = sorted(self.devices)
         self._billed: dict[int, int] = dict.fromkeys(self._ids, -1)
-        self._activity: dict[int, Activity] = {}  # tick ``clock``'s, unbilled
-        self._depletions: list[tuple[int, int]] = []  # heap of (tick, node)
+        self._owed: dict[int, list[int]] = {}  # node -> [tx, rx, margin left]
+        self._open: dict[int, tuple[int, int]] = {}  # owed (tx, rx) before tick ``clock``
+        # heap of (tick, node): idle depletions and radio debts past the margin
+        self._depletions: list[tuple[int, int]] = []
         self._flushed_through = -1
         self._cursor: Optional[int] = None  # node being billed mid-tick
         self._queue_depletions(self._ids, -1)
@@ -282,7 +291,7 @@ class Simulation:
         ev = heapq.heappop(self.queue)[2]
         if ev.time > self.clock:
             self._flush_through(ev.time - 1)
-            self._activity = {}  # an unbilled tick left is past the horizon or settled
+            self._open = {}
             self.clock = ev.time
         self._dispatch(ev)
         return ev
@@ -312,7 +321,7 @@ class Simulation:
             raise SenderDepleted(f"node {sender} cannot send, battery depleted")
         if not self.reachable(sender, receiver):
             raise Unreachable(f"node {receiver} is not cluster-reachable from {sender}")
-        self._bucket(sender).msgs_tx += 1
+        self._owe(sender, 1, 0)
         if self.drop_p > 0.0 and self.rng.random() < self.drop_p:
             self.log.drops += 1
             self.emit(self.clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
@@ -349,11 +358,24 @@ class Simulation:
 
     # -- energy accounting --
 
-    def _bucket(self, node: int) -> Activity:
-        act = self._activity.get(node)
-        if act is None:
-            act = self._activity[node] = Activity()
-        return act
+    def _owe(self, node: int, tx: int, rx: int) -> None:
+        """Add a message's radio to what ``node`` owes; queue a bill at this
+        tick only once the debt could empty it before its next window end."""
+        if self.clock >= self.horizon:
+            return  # never billed
+        p, owed = self.params, self._owed.get(node)
+        if owed is None:  # nothing owed since the last bill, which set the margin
+            billed = self._billed[node]
+            end = min(self._window_last_after(billed), self.horizon)
+            margin = self.devices[node].energy_mj - p.idle_per_tick * (end - 1 - billed) - 1
+            owed = self._owed[node] = [0, 0, margin]
+        if node not in self._open:
+            self._open[node] = (owed[0], owed[1])
+        owed[0] += tx
+        owed[1] += rx
+        owed[2] -= p.tx_per_msg * tx + p.rx_per_msg * rx
+        if owed[2] < 0:
+            heapq.heappush(self._depletions, (self.clock, node))
 
     def energy(self, node: int) -> int:
         """The node's charge as billing every tick would leave it now.
@@ -361,15 +383,24 @@ class Simulation:
         Between events every device is settled through the tick before the
         clock. While a tick is being billed, nodes with a lower id than the
         one being billed are settled through that tick and the others
-        through the tick before. Settling bills idle ticks only, which
-        cannot empty the battery: an idle depletion is billed at its tick.
+        through the tick before. Settling bills the idle ticks and the radio
+        owed for ticks up to the one settled; the open tick's radio stays
+        owed when settling only through the tick before it. That cannot
+        empty the battery: an idle depletion is billed at its tick, and radio
+        past the margin at the message's tick.
         """
         dev = self.devices[node]
         through = self._flushed_through
         if self._cursor is not None and node < self._cursor:
             through += 1
         if dev.status is not Status.DEPLETED and self._billed[node] < through:
-            self._bill(dev, Activity(), through)
+            tx, rx, left = self._owed.pop(node, (0, 0, 0))
+            before = self._open.get(node) if through < self.clock else None
+            if before is not None:  # the open tick's radio stays owed
+                self._owed[node] = [tx - before[0], rx - before[1], left]
+                self._open[node] = (0, 0)
+                tx, rx = before
+            self._bill(dev, Activity(msgs_tx=tx, msgs_rx=rx), through)
         return dev.energy_mj
 
     def _bill(self, dev: DeviceState, act: Activity, tick: int) -> None:
@@ -383,16 +414,14 @@ class Simulation:
     def _flush_through(self, t: int) -> None:
         """Settle every tick up to ``t`` (bounded by horizon).
 
-        Only ticks where some device must be billed are visited: the open
-        tick's activity, the last tick of each window and projected idle
-        depletions, whichever comes first.
+        Only ticks where some device must be billed are visited: the last
+        tick of each window, projected idle depletions and radio debts past
+        the margin, whichever comes first.
         """
         t = min(t, self.horizon - 1)
         while True:
             done = self._flushed_through
             tt = self._window_last_after(done)
-            if self._activity and done < self.clock < tt:
-                tt = self.clock
             if self._depletions and self._depletions[0][0] < tt:
                 tt = self._depletions[0][0]
             if tt > t:
@@ -425,10 +454,7 @@ class Simulation:
     def _bill_tick(self, tt: int) -> None:
         """Bill, in id order, every device that must be billed at ``tt``."""
         self._flushed_through = tt - 1
-        acts: dict[int, Activity] = {}
-        if tt == self.clock:
-            acts, self._activity = self._activity, {}
-        due = set(acts)
+        due = set()
         while self._depletions and self._depletions[0][0] == tt:
             due.add(heapq.heappop(self._depletions)[1])
         window_last = (tt + 1) % self.window == 0
@@ -437,7 +463,8 @@ class Simulation:
             dev = self.devices[nid]
             if dev.status is Status.DEPLETED:
                 continue
-            act = acts.get(nid) or Activity()
+            tx, rx, _left = self._owed.pop(nid, (0, 0, 0))
+            act = Activity(msgs_tx=tx, msgs_rx=rx)
             if window_last:
                 if dev.status is Status.RUNNING:
                     served = act.requests_served = dict(dev.load)
@@ -507,7 +534,7 @@ class Simulation:
             self.log.dead_letters += 1
             self.emit(self.clock, KERNEL, "dead_letter", f"to={msg.receiver} kind={msg.kind}")
             return
-        self._bucket(msg.receiver).msgs_rx += 1
+        self._owe(msg.receiver, 0, 1)
         self.on_message(msg)
 
     def _close_window(self, window: int) -> None:

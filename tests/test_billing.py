@@ -3,7 +3,8 @@
 Each golden digest is the sha256 of ``RunLog.serialize()``, ``final_energy``
 and ``window_energy`` as recorded with the per-tick billing loop, which
 billed every live device once per tick in id order. Billing idle spans in
-closed form must reproduce those bytes exactly.
+closed form, and radio at a later bill of the same window, must reproduce
+those bytes exactly.
 """
 
 import hashlib
@@ -11,12 +12,14 @@ import hashlib
 import pytest
 
 import ubisim.simkernel
+from ubisim.clustering import Cluster
 from ubisim.engine import run_scenario
 from ubisim.model import EnergyParams
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import Resume, Simulation
 
 from conftest import make_device
+from test_invariants import SEEDS, hostile_scenario_text
 
 
 def scenario_text(*, nodes, edges, energy="idle=1 tx=2 rx=1 request=1",
@@ -134,6 +137,79 @@ def test_billing_calls_scale_with_activity_not_ticks(monkeypatch):
     short = _billing_calls(monkeypatch, 10)
     long = _billing_calls(monkeypatch, 100)
     assert short == long
+
+
+def test_radio_rides_the_window_end_bill(monkeypatch):
+    # every member reports every window and no battery runs low
+    assert _billing_calls(monkeypatch, 10) == 5 * 6
+
+
+def _member_bills(monkeypatch, battery, ticks):
+    """The run's digest and, for each bill of member 1, the tick it was
+    billed through, the messages it sent in it and the charge it left."""
+    bills = []
+    original = ubisim.simkernel.consume_energy
+
+    def recording(device, activity, params):
+        debit = original(device, activity, params)
+        if device.id == 1:
+            through = (bills[-1][0] if bills else -1) + activity.ticks
+            bills.append((through, activity.msgs_tx, device.energy_mj))
+        return debit
+
+    monkeypatch.setattr(ubisim.simkernel, "consume_energy", recording)
+    digest, _log = run_digest(scenario_text(
+        nodes=[10_000, battery], edges=[(0, 1)], energy="idle=1 tx=2 rx=0 request=0",
+        run=f"ticks={ticks} window=10 mode=dynamic seed=1"))
+    return digest, bills
+
+
+# Member 1 is billed at tick 9 and sends its window-0 report at tick 10.
+# The report's 2 mJ may be owed as long as the member keeps 1 mJ at the tick
+# before its next bill: tick 18 before the window-end bill at 19, a charge of
+# 12 after tick 9, or tick 13 before the horizon at 14, a charge of 7.
+@pytest.mark.parametrize("battery, ticks, golden, bills", [
+    (22, 30, "981c7df23183b92b42b8ba455a78411bf1113406d9df78330269df860bd307d9",
+     [(9, 0, 12), (19, 1, 0)]),   # exactly at the margin: owed until tick 19
+    (21, 30, "95ee5d3d303bc1efa34afcbcd793821171adf79fd7ff1966efb2237b1e5d6abb",
+     [(9, 0, 11), (10, 1, 8), (18, 0, 0)]),   # 1 mJ past it: billed at tick 10
+    (13, 30, "bad6676707422483f37430e7af84472155c44451074c03912eefc5b8cc25c1ad",
+     [(9, 0, 3), (10, 1, 0)]),   # the report empties the battery at tick 10
+    (17, 14, "e2953aa5ffefdb88283231a7f490d1ad82b1a30b63ce45c7310fb60c62b096f0",
+     [(9, 0, 7), (13, 1, 1)]),   # at the margin the horizon sets: owed to the end
+], ids=["at_margin", "past_margin", "empties", "at_horizon_margin"])
+def test_report_is_billed_at_its_tick_only_past_the_margin(monkeypatch, battery, ticks,
+                                                           golden, bills):
+    digest, member_bills = _member_bills(monkeypatch, battery, ticks)
+    assert digest == golden
+    assert member_bills == bills
+
+
+def test_radio_past_the_horizon_is_never_billed():
+    devs = [make_device(0, energy=1_000), make_device(1, energy=1_000, neighbors={0})]
+    sim = Simulation(devs, EnergyParams(idle_per_tick=1, tx_per_msg=5, rx_per_msg=3),
+                     window=10, horizon=15)
+    sim.install_clusters([Cluster(0, frozenset({1}))])
+    for tick in (17, 19):
+        sim.schedule(tick, 0, Resume(0))
+        sim.step()
+        sim.send(1, 0, "report")
+    log = sim.run_until(30)
+    assert log.final_energy == {0: 985, 1: 985}
+    assert log.total_debited == 30
+
+
+def test_hostile_seeds_keep_their_ledgers():
+    # 862 and 1422 re-elect a head mid-tick while a member has radio owed at
+    # the open tick, which the re-election must not read
+    h = hashlib.sha256()
+    for seed in [*SEEDS, 862, 1422]:
+        _report, log = run_scenario(parse_scenario(hostile_scenario_text(seed)))
+        h.update(log.serialize().encode())
+        h.update(repr(sorted(log.final_energy.items())).encode())
+        h.update(repr(sorted(log.window_energy.items())).encode())
+        h.update(repr(log.total_debited).encode())
+    assert h.hexdigest() == "1ce4cac67a30d65f665519335f08ef9ae930a514e366bf92a78c6c8697eeff31"
 
 
 def test_energy_reads_settle_through_the_tick_before_the_clock():

@@ -223,12 +223,13 @@ class TestApplyDynamic:
     def test_moves_load_conserving_total(self):
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         total_before = sum(d.load["S"] for d in sim.devices.values())
-        result = apply_dynamic(plan_16(), sim)
+        plan = plan_16()
+        executed = apply_dynamic(plan, sim)
         assert sim.devices[1].load["S"] == 34
         assert sim.devices[0].load["S"] == 16
         assert sum(d.load["S"] for d in sim.devices.values()) == total_before
         assert all(d.status is Status.RUNNING for d in sim.devices.values())
-        assert result.moved == {"S": 16}
+        assert executed == [(plan.directives[0], 16)]
         assert sim.demand[0]["S"] == 16 and sim.demand[1]["S"] == 34
 
     def test_empty_plan_is_noop(self):
@@ -243,17 +244,18 @@ class TestApplyDynamic:
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         sim.devices[0].energy_mj = 0
         sim.devices[0].status = Status.DEPLETED
-        result = apply_dynamic(plan_16(), sim)
+        executed = apply_dynamic(plan_16(), sim)
         assert [l.split()[3] for l in sim.log.lines].count("skip") == 1
-        assert result.residual == {"S": 16}
+        assert executed == []
         assert sim.devices[1].load["S"] == 50
 
 
 class TestApplyStatic:
     def test_quiesces_then_resumes_with_downtime(self):
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        result = apply_static(plan_16(), sim, quiesce_ticks=2)
-        assert result.moved == {"S": 16}
+        plan = plan_16()
+        executed = apply_static(plan, sim, quiesce_ticks=2)
+        assert executed == [(plan.directives[0], 16)]
         assert sim.devices[0].status is Status.QUIESCED
         assert sim.devices[1].status is Status.QUIESCED
         assert sim.log.downtime == {0: 2, 1: 2}
