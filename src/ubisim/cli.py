@@ -15,7 +15,7 @@ from pathlib import Path
 from . import metrics
 from .engine import run_scenario
 from .model import SimulationError
-from .scenario import ParseError, Scenario, parse_scenario
+from .scenario import MissingCapacity, ParseError, Scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,6 +99,11 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = _load_file(args.scenario)
+    try:
+        scenario.capacities()
+    except MissingCapacity as exc:
+        print(f"error: scenario: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(
         f"OK: {len(scenario.services)} services, {len(scenario.nodes)} nodes, "
         f"{len(scenario.edges)} edges, {len(scenario.workload)} workload items, "

@@ -18,7 +18,7 @@ from .model import Status
 class Topology:
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    _adjacency: dict[int, set[int]] = field(init=False, repr=False, compare=False)
+    _adjacency: dict[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
@@ -29,16 +29,18 @@ class Topology:
                 raise ValueError(f"edge ({a}, {b}) references an unknown node")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        object.__setattr__(self, "_adjacency", adjacency)
+        frozen = {n: frozenset(nbs) for n, nbs in adjacency.items()}
+        object.__setattr__(self, "_adjacency", frozen)
 
     @staticmethod
     def build(nodes, edges) -> "Topology":
         norm = frozenset((min(a, b), max(a, b)) for a, b in edges)
         return Topology(frozenset(nodes), norm)
 
-    def neighbors(self, node: int) -> set[int]:
-        """A fresh set of the node's neighbours; empty for an unknown node."""
-        return set(self._adjacency.get(node, ()))
+    def neighbors(self, node: int) -> frozenset[int]:
+        """The node's neighbours, empty for an unknown node. The set is the
+        topology's own, shared by every caller and immutable."""
+        return self._adjacency.get(node, frozenset())
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def form_clusters(topology: Topology, energies: dict[int, int]) -> list[Cluster]
         if head not in unassigned:
             continue
         unassigned.discard(head)
-        members = frozenset(topology.neighbors(head) & unassigned)
+        members = topology.neighbors(head) & unassigned
         unassigned -= members
         clusters.append(Cluster(head, members))
     return clusters

@@ -77,7 +77,7 @@ class DeviceState:
     """
 
     id: int
-    neighbors: set[int] = field(default_factory=set)
+    neighbors: set[int] | frozenset[int] = field(default_factory=set)
     energy_mj: int = 10_000
     capacities: dict[Service, int] = field(default_factory=dict)
     load: dict[Service, int] = field(default_factory=dict)

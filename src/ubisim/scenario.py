@@ -161,27 +161,25 @@ class Scenario:
         )
 
     def topology(self):
+        """The node graph; ``edges`` are already (low, high) pairs, as parsed."""
         from .clustering import Topology
 
-        return Topology.build({n.id for n in self.nodes}, self.edges)
+        return Topology(frozenset(n.id for n in self.nodes), frozenset(self.edges))
 
 
-_SECTIONS = ("services", "nodes", "edges", "energy", "workload", "inject", "run")
+@dataclass(slots=True)
+class _Parse:
+    """One parse in progress: the scenario so far and what it has declared."""
+
+    scenario: Scenario = field(default_factory=Scenario)
+    service_names: set[str] = field(default_factory=set)
+    node_ids: set[int] = field(default_factory=set)
+    # (kind, at, lineno) of items later than all before them; the first past the horizon is one
+    item_lines: list[tuple[str, int, int]] = field(default_factory=list)
+    latest: int = -1
 
 
-def _fields(raw: str, lineno: int) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in raw.split():
-        key, sep, value = token.partition("=")
-        if not sep or not key or not value:
-            raise MalformedLine(f"expected key=value fields, got {token!r}", lineno)
-        if key in out:
-            raise MalformedLine(f"duplicate field {key!r}", lineno)
-        out[key] = value
-    return out
-
-
-def _int(fields: dict[str, str], key: str, lineno: int, *, minimum: int | None = None) -> int:
+def _int(fields: dict[str, str], key: str, lineno: int, minimum: int | None = None) -> int:
     raw = fields.pop(key)
     try:
         value = int(raw)
@@ -205,9 +203,11 @@ def _float(fields: dict[str, str], key: str, lineno: int, *, minimum: float = 0.
     return value
 
 
-def _require(fields: dict[str, str], key: str, lineno: int) -> None:
-    if key not in fields:
-        raise MalformedLine(f"missing required field {key!r}", lineno)
+def _require(fields: dict[str, str], required: tuple[str, ...], lineno: int) -> None:
+    """Raise for the first of ``required`` that ``fields`` lacks."""
+    for key in required:
+        if key not in fields:
+            raise MalformedLine(f"missing required field {key!r}", lineno)
 
 
 def _no_extras(fields: dict[str, str], lineno: int) -> None:
@@ -216,52 +216,45 @@ def _no_extras(fields: dict[str, str], lineno: int) -> None:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text; raises a ParseError subclass on the first problem."""
-    scenario = Scenario()
-    section = None
-    service_names: set[str] = set()
-    node_ids: set[int] = set()
-    item_lines: list[tuple[str, int, int]] = []  # (kind, at, lineno) for horizon check
+    """Parse scenario text; raises a ParseError subclass on the first problem.
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    Each ``[section]`` header selects the handler its entry lines go to.
+    """
+    p = _Parse()
+    handler = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        if line.startswith("["):
+        if tokens[0][0] == "[":
+            line = line.strip()
             if not line.endswith("]"):
                 raise MalformedLine("unterminated section header", lineno)
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            handler = _HANDLERS.get(name)
+            if handler is None:
                 raise MalformedLine(f"unknown section [{name}]", lineno)
-            section = name
             continue
-        if section is None:
+        if handler is None:
             raise MalformedLine("content before any [section] header", lineno)
         try:
-            fields = _fields(line, lineno)
-            if section == "services":
-                _parse_service(scenario, fields, service_names, lineno)
-            elif section == "nodes":
-                _parse_node(scenario, fields, service_names, node_ids, lineno)
-            elif section == "edges":
-                _parse_edge(scenario, fields, node_ids, lineno)
-            elif section == "energy":
-                _parse_energy(scenario, fields, service_names, lineno)
-            elif section == "workload":
-                item = _parse_item(fields, service_names, node_ids, "n", lineno)
-                scenario.workload.append(WorkloadItem(*item))
-                item_lines.append(("workload", item[0], lineno))
-            elif section == "inject":
-                item = _parse_item(fields, service_names, node_ids, "load", lineno)
-                scenario.injections.append(InjectItem(*item))
-                item_lines.append(("inject", item[0], lineno))
-            elif section == "run":
-                _parse_run(scenario, fields, lineno)
+            fields: dict[str, str] = {}
+            for token in tokens:
+                key, _, value = token.partition("=")
+                if not key or not value:  # a token without "=" has no value either
+                    raise MalformedLine(f"expected key=value fields, got {token!r}", lineno)
+                if key in fields:
+                    raise MalformedLine(f"duplicate field {key!r}", lineno)
+                fields[key] = value
+            handler(p, fields, lineno)
         except ParseError:
             raise
         except Exception as exc:  # defensive: parsing must be total
             raise MalformedLine(f"unparseable line: {exc}", lineno) from None
 
+    scenario = p.scenario
     if not scenario.services:
         raise MalformedLine("no [services] declared", 0)
     if not scenario.nodes:
@@ -271,7 +264,7 @@ def parse_scenario(text: str) -> Scenario:
         raise NegativeValue("window must be >= 1", 0)
     if run.ticks < run.window:
         raise MalformedLine(f"ticks ({run.ticks}) must be >= window ({run.window})", 0)
-    for kind, at, lineno in item_lines:
+    for kind, at, lineno in p.item_lines:
         if at > run.ticks:
             raise MalformedLine(
                 f"{kind} at t={at} is beyond the run horizon ({run.ticks})", lineno
@@ -279,91 +272,100 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _parse_service(scenario, fields, service_names, lineno):
-    _require(fields, "name", lineno)
+def _parse_service(p: _Parse, fields, lineno):
+    _require(fields, ("name",), lineno)
     name = fields.pop("name")
-    if name in service_names:
+    if name in p.service_names:
         raise MalformedLine(f"service {name!r} declared twice", lineno)
     capacity = None
     if "capacity" in fields:
-        capacity = _int(fields, "capacity", lineno, minimum=1)
+        capacity = _int(fields, "capacity", lineno, 1)
     _no_extras(fields, lineno)
-    service_names.add(name)
-    scenario.services.append(ServiceSpec(name, capacity))
+    p.service_names.add(name)
+    p.scenario.services.append(ServiceSpec(name, capacity))
 
 
-def _parse_node(scenario, fields, service_names, node_ids, lineno):
-    _require(fields, "id", lineno)
-    nid = _int(fields, "id", lineno, minimum=0)
-    if nid in node_ids:
+def _parse_node(p: _Parse, fields, lineno):
+    _require(fields, ("id",), lineno)
+    nid = _int(fields, "id", lineno, 0)
+    if nid in p.node_ids:
         raise DuplicateNode(f"node {nid} declared twice", lineno)
     energy = 10_000
     if "energy" in fields:
-        energy = _int(fields, "energy", lineno, minimum=0)
+        energy = _int(fields, "energy", lineno, 0)
     overrides = {}
     for key in [k for k in fields if k.startswith("cap.")]:
         svc = key[4:]
-        if svc not in service_names:
+        if svc not in p.service_names:
             raise UnknownService(f"override for undeclared service {svc!r}", lineno)
-        overrides[svc] = _int(fields, key, lineno, minimum=1)
+        overrides[svc] = _int(fields, key, lineno, 1)
     _no_extras(fields, lineno)
-    node_ids.add(nid)
-    scenario.nodes.append(NodeSpec(nid, energy, overrides))
+    p.node_ids.add(nid)
+    p.scenario.nodes.append(NodeSpec(nid, energy, overrides))
 
 
-def _parse_edge(scenario, fields, node_ids, lineno):
-    _require(fields, "a", lineno)
-    _require(fields, "b", lineno)
-    a = _int(fields, "a", lineno, minimum=0)
-    b = _int(fields, "b", lineno, minimum=0)
+def _parse_edge(p: _Parse, fields, lineno):
+    _require(fields, ("a", "b"), lineno)
+    a = _int(fields, "a", lineno, 0)
+    b = _int(fields, "b", lineno, 0)
     _no_extras(fields, lineno)
     if a == b:
         raise MalformedLine(f"self-loop on node {a}", lineno)
-    for n in (a, b):
-        if n not in node_ids:
-            raise DanglingEdge(f"edge references undeclared node {n}", lineno)
-    scenario.edges.append((min(a, b), max(a, b)))
+    if a not in p.node_ids:
+        raise DanglingEdge(f"edge references undeclared node {a}", lineno)
+    if b not in p.node_ids:
+        raise DanglingEdge(f"edge references undeclared node {b}", lineno)
+    p.scenario.edges.append((a, b) if a < b else (b, a))
 
 
-def _parse_energy(scenario, fields, service_names, lineno):
-    e = scenario.energy
+def _parse_energy(p: _Parse, fields, lineno):
+    e = p.scenario.energy
     if "idle" in fields:
-        e.idle = _int(fields, "idle", lineno, minimum=0)
+        e.idle = _int(fields, "idle", lineno, 0)
     if "tx" in fields:
-        e.tx = _int(fields, "tx", lineno, minimum=0)
+        e.tx = _int(fields, "tx", lineno, 0)
     if "rx" in fields:
-        e.rx = _int(fields, "rx", lineno, minimum=0)
+        e.rx = _int(fields, "rx", lineno, 0)
     if "request" in fields:
-        e.request_default = _int(fields, "request", lineno, minimum=0)
+        e.request_default = _int(fields, "request", lineno, 0)
     for key in [k for k in fields if k.startswith("request.")]:
         svc = key[8:]
-        if svc not in service_names:
+        if svc not in p.service_names:
             raise UnknownService(f"energy cost for undeclared service {svc!r}", lineno)
-        e.request[svc] = _int(fields, key, lineno, minimum=0)
+        e.request[svc] = _int(fields, key, lineno, 0)
     _no_extras(fields, lineno)
 
 
-def _parse_item(fields, service_names, node_ids, amount_key, lineno):
-    for key in ("at", "node", "service", amount_key):
-        _require(fields, key, lineno)
-    at = _int(fields, "at", lineno, minimum=0)
-    node = _int(fields, "node", lineno, minimum=0)
-    service = fields.pop("service")
-    amount = _int(fields, amount_key, lineno, minimum=0)
-    _no_extras(fields, lineno)
-    if service not in service_names:
-        raise UnknownService(f"undeclared service {service!r}", lineno)
-    if node not in node_ids:
-        raise MalformedLine(f"undeclared node {node}", lineno)
-    return at, node, service, amount
+def _item_parser(kind: str, amount_key: str, make, attr: str):
+    """The handler of the ``kind`` section, whose items ``make`` builds from
+    at, node, service and ``amount_key`` and appends to ``Scenario.<attr>``."""
+    required = ("at", "node", "service", amount_key)
+
+    def parse(p: _Parse, fields, lineno):
+        _require(fields, required, lineno)
+        at = _int(fields, "at", lineno, 0)
+        node = _int(fields, "node", lineno, 0)
+        service = fields.pop("service")
+        amount = _int(fields, amount_key, lineno, 0)
+        _no_extras(fields, lineno)
+        if service not in p.service_names:
+            raise UnknownService(f"undeclared service {service!r}", lineno)
+        if node not in p.node_ids:
+            raise MalformedLine(f"undeclared node {node}", lineno)
+        if at > p.latest:
+            p.latest = at
+            p.item_lines.append((kind, at, lineno))
+        getattr(p.scenario, attr).append(make(at, node, service, amount))
+
+    return parse
 
 
-def _parse_run(scenario, fields, lineno):
-    r = scenario.run
+def _parse_run(p: _Parse, fields, lineno):
+    r = p.scenario.run
     if "ticks" in fields:
-        r.ticks = _int(fields, "ticks", lineno, minimum=1)
+        r.ticks = _int(fields, "ticks", lineno, 1)
     if "window" in fields:
-        r.window = _int(fields, "window", lineno, minimum=1)
+        r.window = _int(fields, "window", lineno, 1)
     if "mode" in fields:
         mode = fields.pop("mode")
         if mode not in ("dynamic", "static"):
@@ -372,20 +374,31 @@ def _parse_run(scenario, fields, lineno):
     if "seed" in fields:
         r.seed = _int(fields, "seed", lineno)
     if "latency" in fields:
-        r.latency = _int(fields, "latency", lineno, minimum=1)
+        r.latency = _int(fields, "latency", lineno, 1)
     if "drop" in fields:
         r.drop = _float(fields, "drop", lineno)
         if r.drop > 1.0:
             raise MalformedLine(f"drop must be <= 1.0, got {r.drop}", lineno)
     if "report_every" in fields:
-        r.report_every = _int(fields, "report_every", lineno, minimum=1)
+        r.report_every = _int(fields, "report_every", lineno, 1)
     if "quiesce_ticks" in fields:
-        r.quiesce_ticks = _int(fields, "quiesce_ticks", lineno, minimum=0)
+        r.quiesce_ticks = _int(fields, "quiesce_ticks", lineno, 0)
     if "staleness_max" in fields:
-        r.staleness_max = _int(fields, "staleness_max", lineno, minimum=0)
+        r.staleness_max = _int(fields, "staleness_max", lineno, 0)
     if "energy_tolerance" in fields:
         r.energy_tolerance = _float(fields, "energy_tolerance", lineno)
     _no_extras(fields, lineno)
+
+
+_HANDLERS = {
+    "services": _parse_service,
+    "nodes": _parse_node,
+    "edges": _parse_edge,
+    "energy": _parse_energy,
+    "workload": _item_parser("workload", "n", WorkloadItem, "workload"),
+    "inject": _item_parser("inject", "load", InjectItem, "injections"),
+    "run": _parse_run,
+}
 
 
 def serialize_scenario(scenario: Scenario) -> str:

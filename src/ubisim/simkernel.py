@@ -73,26 +73,26 @@ class SenderDepleted(SimulationError):
 # --- event payloads ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WindowBoundary:
     window: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Arrival:
     node: int
     service: Service
     count: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InjectOverload:
     node: int
     service: Service
     amount: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Resume:
     node: int
 
@@ -110,7 +110,7 @@ class Message:
             raise ValueError("a message cannot be sent to its own sender")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LocalDelivery:
     """Head-local report from the head's own agent; bypasses the radio."""
 
@@ -234,7 +234,7 @@ class Simulation:
         self._seq = itertools.count()
         self.log = RunLog()
         self.demand: dict[int, dict[Service, int]] = {d.id: d.load for d in devices}
-        self.clusters: dict[int, set[int]] = {}
+        self.clusters: dict[int, frozenset[int]] = {}  # head -> its Cluster's members
         self.head_of: dict[int, int] = {}
         # event-driven billing state; see the module docstring
         self._ids = sorted(self.devices)
@@ -341,14 +341,14 @@ class Simulation:
         """Record head/member assignments for routing and the trace."""
         for cluster in clusters:
             head = cluster.head
-            members = set(cluster.members)
-            self.clusters[head] = members
+            self.clusters[head] = cluster.members
+            members = tuple(sorted(cluster.members))
             self.head_of[head] = head
             for m in members:
                 self.head_of[m] = head
-            ms = ",".join(str(m) for m in sorted(members))
+            ms = ",".join(map(str, members))
             self.emit(self.clock, KERNEL, "cluster", f"head={head} members={ms}")
-            self.log.cluster_records.append((self.clock, head, tuple(sorted(members))))
+            self.log.cluster_records.append((self.clock, head, members))
 
     def drop_cluster(self, head: int) -> None:
         members = self.clusters.pop(head, set())
@@ -464,13 +464,13 @@ class Simulation:
             if dev.status is Status.DEPLETED:
                 continue
             tx, rx, _left = self._owed.pop(nid, (0, 0, 0))
-            act = Activity(msgs_tx=tx, msgs_rx=rx)
-            if window_last:
-                if dev.status is Status.RUNNING:
-                    served = act.requests_served = dict(dev.load)
-                else:  # quiesced devices serve nothing
-                    served = dict.fromkeys(dev.load, 0)
-                self.served_snapshot[nid] = served
+            if window_last and dev.status is Status.RUNNING:
+                act = Activity(dict(dev.load), tx, rx)
+                self.served_snapshot[nid] = act.requests_served
+            else:
+                act = Activity(msgs_tx=tx, msgs_rx=rx)
+                if window_last:  # quiesced devices serve nothing
+                    self.served_snapshot[nid] = dict.fromkeys(dev.load, 0)
             self._cursor = nid
             self._bill(dev, act, tt)
             if dev.status is Status.DEPLETED:

@@ -115,6 +115,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario: MissingCapacity")
 
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys):
+        # no capacity anywhere for the only service: run exits 2, so must validate
+        path = tmp_path / "nocap.scn"
+        path.write_text(
+            "[services]\nname=Print\n"
+            "[nodes]\nid=0\nid=1\n"
+            "[edges]\na=0 b=1\n"
+            "[run]\nticks=10 window=10\n"
+        )
+        message = ("error: scenario: MissingCapacity: "
+                   "node 0 offers 'Print' but no capacity is configured\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_PARSE
+        assert capsys.readouterr().err == message
+        assert main(["validate", "--scenario", str(path)]) == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
     def test_validate_ok_is_zero(self, scn_file, capsys):
         assert main(["validate", "--scenario", str(scn_file)]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("OK:")

@@ -138,13 +138,18 @@ class TestSweepEquivalence:
 
     @given(graphs_with_tied_energies())
     @settings(deadline=None, max_examples=50)
-    def test_neighbors_returns_a_copy(self, graph):
+    def test_callers_cannot_change_neighbors(self, graph):
         topo, energies = graph
-        before = {n: topo.neighbors(n) for n in topo.nodes}
+        before = {n: set(topo.neighbors(n)) for n in topo.nodes}
         clusters = form_clusters(topo, energies)
         for node in topo.nodes:
-            topo.neighbors(node).add(-1)
-            topo.neighbors(node).clear()
+            with pytest.raises(AttributeError):
+                topo.neighbors(node).add(-1)
+            with pytest.raises(AttributeError):
+                topo.neighbors(node).clear()
+            nbs = topo.neighbors(node)
+            nbs |= {-1}  # rebinds the caller's name to a new set
+            assert -1 not in topo.neighbors(node)
         assert {n: topo.neighbors(n) for n in topo.nodes} == before
         assert form_clusters(topo, energies) == clusters
 

@@ -1,3 +1,6 @@
+import hashlib
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from ubisim.scenario import (
     DanglingEdge,
     DuplicateNode,
     MalformedLine,
+    MissingCapacity,
     NegativeValue,
     ParseError,
     Scenario,
@@ -123,6 +127,265 @@ class TestParseErrors:
             parse_scenario("[nodes]\nid=0\n")
         with pytest.raises(MalformedLine):
             parse_scenario("[services]\nname=P capacity=1\n")
+
+
+def after_minimal(lines):
+    """MINIMAL, which is 13 lines long, followed by ``lines``."""
+    return MINIMAL + lines + "\n"
+
+
+# One malformed input per check in the parser, with the class, line number
+# and message each raises; several rows pin which of two problems on one
+# line is reported. Recorded from the parser as it stood before it was
+# rewritten to handle each line once. The defensive "unparseable line"
+# branch and the "window must be >= 1" check after the loop have no row:
+# no input reaches them, as every field is checked where it is read.
+PINNED_ERRORS = [
+    ('token_without_equals', after_minimal('[run]\nticks'),
+     MalformedLine, 15, "MalformedLine line 15: expected key=value fields, got 'ticks'"),
+    ('token_with_empty_key', after_minimal('[run]\n=5'),
+     MalformedLine, 15, "MalformedLine line 15: expected key=value fields, got '=5'"),
+    ('token_with_empty_value', after_minimal('[run]\nticks='),
+     MalformedLine, 15, "MalformedLine line 15: expected key=value fields, got 'ticks='"),
+    ('duplicate_field', after_minimal('[run]\nticks=20 ticks=30'),
+     MalformedLine, 15, "MalformedLine line 15: duplicate field 'ticks'"),
+    ('duplicate_field_before_bad_token', after_minimal('[run]\nticks=20 ticks=30 junk'),
+     MalformedLine, 15, "MalformedLine line 15: duplicate field 'ticks'"),
+    ('comment_cuts_value', after_minimal('[services]\nname=Fax capacity=#5'),
+     MalformedLine, 15, "MalformedLine line 15: expected key=value fields, got 'capacity='"),
+    ('unterminated_header', after_minimal('[run\nticks=20'),
+     MalformedLine, 14, 'MalformedLine line 14: unterminated section header'),
+    ('unknown_section', after_minimal('[bogus] # note'),
+     MalformedLine, 14, 'MalformedLine line 14: unknown section [bogus]'),
+    ('unknown_section_lowered', after_minimal('[ BOGUS ]'),
+     MalformedLine, 14, 'MalformedLine line 14: unknown section [bogus]'),
+    ('content_before_section', 'name=Print capacity=3\n' + MINIMAL,
+     MalformedLine, 1, 'MalformedLine line 1: content before any [section] header'),
+    ('service_missing_name', after_minimal('[services]\ncapacity=3'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'name'"),
+    ('service_declared_twice', after_minimal('[services]\nname=Print'),
+     MalformedLine, 15, "MalformedLine line 15: service 'Print' declared twice"),
+    ('service_capacity_not_int', after_minimal('[services]\nname=Fax capacity=x'),
+     MalformedLine, 15, "MalformedLine line 15: capacity must be an integer, got 'x'"),
+    ('service_capacity_below_one', after_minimal('[services]\nname=Fax capacity=0'),
+     NegativeValue, 15, 'NegativeValue line 15: capacity must be >= 1, got 0'),
+    ('service_unknown_fields_sorted', after_minimal('[services]\nname=Fax zeta=1 alpha=2'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'alpha'"),
+    ('service_twice_beats_bad_capacity', after_minimal('[services]\nname=Print capacity=x'),
+     MalformedLine, 15, "MalformedLine line 15: service 'Print' declared twice"),
+    ('node_missing_id', after_minimal('[nodes]\nenergy=5'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'id'"),
+    ('node_id_not_int', after_minimal('[nodes]\nid=two'),
+     MalformedLine, 15, "MalformedLine line 15: id must be an integer, got 'two'"),
+    ('node_id_negative', after_minimal('[nodes]\nid=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: id must be >= 0, got -1'),
+    ('node_declared_twice', after_minimal('[nodes]\nid=1'),
+     DuplicateNode, 15, 'DuplicateNode line 15: node 1 declared twice'),
+    ('node_twice_beats_bad_energy', after_minimal('[nodes]\nid=1 energy=x'),
+     DuplicateNode, 15, 'DuplicateNode line 15: node 1 declared twice'),
+    ('node_energy_negative', after_minimal('[nodes]\nid=2 energy=-5'),
+     NegativeValue, 15, 'NegativeValue line 15: energy must be >= 0, got -5'),
+    ('node_energy_not_int', after_minimal('[nodes]\nid=2 energy=lots'),
+     MalformedLine, 15, "MalformedLine line 15: energy must be an integer, got 'lots'"),
+    ('node_override_unknown_service', after_minimal('[nodes]\nid=2 cap.Fax=5'),
+     UnknownService, 15, "UnknownService line 15: override for undeclared service 'Fax'"),
+    ('node_override_below_one', after_minimal('[nodes]\nid=2 cap.Print=0'),
+     NegativeValue, 15, 'NegativeValue line 15: cap.Print must be >= 1, got 0'),
+    ('node_override_not_int', after_minimal('[nodes]\nid=2 cap.Print=x'),
+     MalformedLine, 15, "MalformedLine line 15: cap.Print must be an integer, got 'x'"),
+    ('node_energy_beats_override', after_minimal('[nodes]\nid=2 cap.Fax=1 energy=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: energy must be >= 0, got -1'),
+    ('node_unknown_field', after_minimal('[nodes]\nid=2 colour=red'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'colour'"),
+    ('node_override_beats_unknown_field', after_minimal('[nodes]\nid=2 colour=red cap.Print=0'),
+     NegativeValue, 15, 'NegativeValue line 15: cap.Print must be >= 1, got 0'),
+    ('edge_missing_a', after_minimal('[edges]\nb=1'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'a'"),
+    ('edge_missing_both', after_minimal('[edges]\nc=1'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'a'"),
+    ('edge_missing_b', after_minimal('[edges]\na=0'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'b'"),
+    ('edge_a_not_int', after_minimal('[edges]\na=x b=1'),
+     MalformedLine, 15, "MalformedLine line 15: a must be an integer, got 'x'"),
+    ('edge_a_negative', after_minimal('[edges]\na=-1 b=1'),
+     NegativeValue, 15, 'NegativeValue line 15: a must be >= 0, got -1'),
+    ('edge_b_not_int', after_minimal('[edges]\na=0 b=y'),
+     MalformedLine, 15, "MalformedLine line 15: b must be an integer, got 'y'"),
+    ('edge_b_negative', after_minimal('[edges]\na=0 b=-3'),
+     NegativeValue, 15, 'NegativeValue line 15: b must be >= 0, got -3'),
+    ('edge_unknown_field', after_minimal('[edges]\na=0 b=1 w=3'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'w'"),
+    ('edge_bad_b_beats_unknown_field', after_minimal('[edges]\na=0 b=x w=3'),
+     MalformedLine, 15, "MalformedLine line 15: b must be an integer, got 'x'"),
+    ('edge_unknown_field_beats_self_loop', after_minimal('[edges]\na=1 b=1 w=3'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'w'"),
+    ('edge_self_loop', after_minimal('[edges]\na=1 b=1'),
+     MalformedLine, 15, 'MalformedLine line 15: self-loop on node 1'),
+    ('edge_self_loop_beats_dangling', after_minimal('[edges]\na=7 b=7'),
+     MalformedLine, 15, 'MalformedLine line 15: self-loop on node 7'),
+    ('edge_dangling_a', after_minimal('[edges]\na=7 b=1'),
+     DanglingEdge, 15, 'DanglingEdge line 15: edge references undeclared node 7'),
+    ('edge_dangling_b', after_minimal('[edges]\nb=0 a=9'),
+     DanglingEdge, 15, 'DanglingEdge line 15: edge references undeclared node 9'),
+    ('edge_dangling_both', after_minimal('[edges]\na=8 b=9'),
+     DanglingEdge, 15, 'DanglingEdge line 15: edge references undeclared node 8'),
+    ('energy_idle_negative', after_minimal('[energy]\nidle=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: idle must be >= 0, got -1'),
+    ('energy_tx_not_int', after_minimal('[energy]\ntx=x'),
+     MalformedLine, 15, "MalformedLine line 15: tx must be an integer, got 'x'"),
+    ('energy_rx_negative', after_minimal('[energy]\nrx=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: rx must be >= 0, got -1'),
+    ('energy_request_negative', after_minimal('[energy]\nrequest=-2'),
+     NegativeValue, 15, 'NegativeValue line 15: request must be >= 0, got -2'),
+    ('energy_unknown_service', after_minimal('[energy]\nrequest.Fax=2'),
+     UnknownService, 15, "UnknownService line 15: energy cost for undeclared service 'Fax'"),
+    ('energy_service_cost_negative', after_minimal('[energy]\nrequest.Print=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: request.Print must be >= 0, got -1'),
+    ('energy_unknown_field', after_minimal('[energy]\nidle=1 watts=3'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'watts'"),
+    ('workload_missing_at', after_minimal('[workload]\nnode=0 service=Print n=1'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'at'"),
+    ('workload_missing_several', after_minimal('[workload]\nservice=Print'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'at'"),
+    ('workload_missing_service', after_minimal('[workload]\nat=1 node=0 n=1'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'service'"),
+    ('workload_missing_n', after_minimal('[workload]\nat=1 node=0 service=Print load=1'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'n'"),
+    ('inject_missing_load', after_minimal('[inject]\nat=1 node=0 service=Print n=3'),
+     MalformedLine, 15, "MalformedLine line 15: missing required field 'load'"),
+    ('workload_at_negative', after_minimal('[workload]\nat=-1 node=0 service=Print n=1'),
+     NegativeValue, 15, 'NegativeValue line 15: at must be >= 0, got -1'),
+    ('workload_node_not_int', after_minimal('[workload]\nat=1 node=x service=Print n=1'),
+     MalformedLine, 15, "MalformedLine line 15: node must be an integer, got 'x'"),
+    ('workload_n_negative', after_minimal('[workload]\nat=1 node=0 service=Print n=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: n must be >= 0, got -1'),
+    ('inject_load_not_int', after_minimal('[inject]\nat=1 node=0 service=Print load=x'),
+     MalformedLine, 15, "MalformedLine line 15: load must be an integer, got 'x'"),
+    ('workload_unknown_field', after_minimal('[workload]\nat=1 node=0 service=Print n=1 x=2'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'x'"),
+    ('workload_unknown_service', after_minimal('[workload]\nat=1 node=0 service=Fax n=1'),
+     UnknownService, 15, "UnknownService line 15: undeclared service 'Fax'"),
+    ('inject_unknown_service_beats_undeclared_node',
+     after_minimal('[inject]\nat=1 node=9 service=Fax load=1'),
+     UnknownService, 15, "UnknownService line 15: undeclared service 'Fax'"),
+    ('workload_undeclared_node', after_minimal('[workload]\nat=1 node=9 service=Print n=1'),
+     MalformedLine, 15, 'MalformedLine line 15: undeclared node 9'),
+    ('workload_beyond_horizon', after_minimal(
+        '[workload]\nat=21 node=0 service=Print n=1\nat=22 node=0 service=Print n=1'),
+     MalformedLine, 15, 'MalformedLine line 15: workload at t=21 is beyond the run horizon (20)'),
+    ('inject_beyond_horizon', after_minimal(
+        '[workload]\nat=20 node=0 service=Print n=1\n[inject]\nat=99 node=1 service=Print load=1'),
+     MalformedLine, 17, 'MalformedLine line 17: inject at t=99 is beyond the run horizon (20)'),
+    ('horizon_reports_the_first_line_past_it', after_minimal(
+        '[workload]\nat=5 node=0 service=Print n=1\nat=30 node=0 service=Print n=1\n'
+        'at=25 node=0 service=Print n=1'),
+     MalformedLine, 16, 'MalformedLine line 16: workload at t=30 is beyond the run horizon (20)'),
+    ('horizon_reports_across_sections', after_minimal(
+        '[inject]\nat=21 node=0 service=Print load=1\n[workload]\nat=40 node=0 service=Print n=1'),
+     MalformedLine, 15, 'MalformedLine line 15: inject at t=21 is beyond the run horizon (20)'),
+    ('run_ticks_zero', after_minimal('[run]\nticks=0'),
+     NegativeValue, 15, 'NegativeValue line 15: ticks must be >= 1, got 0'),
+    ('run_window_zero', after_minimal('[run]\nwindow=0'),
+     NegativeValue, 15, 'NegativeValue line 15: window must be >= 1, got 0'),
+    ('run_window_not_int', after_minimal('[run]\nwindow=ten'),
+     MalformedLine, 15, "MalformedLine line 15: window must be an integer, got 'ten'"),
+    ('run_mode_unknown', after_minimal('[run]\nmode=sideways'),
+     MalformedLine, 15, "MalformedLine line 15: mode must be dynamic or static, got 'sideways'"),
+    ('run_seed_not_int', after_minimal('[run]\nseed=x'),
+     MalformedLine, 15, "MalformedLine line 15: seed must be an integer, got 'x'"),
+    ('run_latency_zero', after_minimal('[run]\nlatency=0'),
+     NegativeValue, 15, 'NegativeValue line 15: latency must be >= 1, got 0'),
+    ('run_drop_not_number', after_minimal('[run]\ndrop=x'),
+     MalformedLine, 15, "MalformedLine line 15: drop must be a number, got 'x'"),
+    ('run_drop_nan', after_minimal('[run]\ndrop=nan'),
+     MalformedLine, 15, "MalformedLine line 15: drop must be finite, got 'nan'"),
+    ('run_drop_negative', after_minimal('[run]\ndrop=-0.5'),
+     NegativeValue, 15, 'NegativeValue line 15: drop must be >= 0.0, got -0.5'),
+    ('run_drop_above_one', after_minimal('[run]\ndrop=1.5'),
+     MalformedLine, 15, 'MalformedLine line 15: drop must be <= 1.0, got 1.5'),
+    ('run_report_every_zero', after_minimal('[run]\nreport_every=0'),
+     NegativeValue, 15, 'NegativeValue line 15: report_every must be >= 1, got 0'),
+    ('run_quiesce_ticks_negative', after_minimal('[run]\nquiesce_ticks=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: quiesce_ticks must be >= 0, got -1'),
+    ('run_staleness_max_negative', after_minimal('[run]\nstaleness_max=-1'),
+     NegativeValue, 15, 'NegativeValue line 15: staleness_max must be >= 0, got -1'),
+    ('run_energy_tolerance_negative', after_minimal('[run]\nenergy_tolerance=-0.1'),
+     NegativeValue, 15, 'NegativeValue line 15: energy_tolerance must be >= 0.0, got -0.1'),
+    ('run_energy_tolerance_infinite', after_minimal('[run]\nenergy_tolerance=inf'),
+     MalformedLine, 15, "MalformedLine line 15: energy_tolerance must be finite, got 'inf'"),
+    ('run_unknown_field', after_minimal('[run]\nticks=20 speed=2'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'speed'"),
+    ('run_bad_mode_beats_unknown_field', after_minimal('[run]\nspeed=2 mode=x'),
+     MalformedLine, 15, "MalformedLine line 15: mode must be dynamic or static, got 'x'"),
+    ('run_ticks_below_window', after_minimal('[run]\nwindow=30'),
+     MalformedLine, 0, 'MalformedLine line 0: ticks (20) must be >= window (30)'),
+    ('no_services', '[nodes]\nid=0\n',
+     MalformedLine, 0, 'MalformedLine line 0: no [services] declared'),
+    ('no_nodes', '[services]\nname=P capacity=1\n',
+     MalformedLine, 0, 'MalformedLine line 0: no [nodes] declared'),
+    ('empty_text', '',
+     MalformedLine, 0, 'MalformedLine line 0: no [services] declared'),
+]
+
+
+class TestPinnedErrors:
+    @pytest.mark.parametrize(
+        "text, cls, line, message",
+        [row[1:] for row in PINNED_ERRORS],
+        ids=[row[0] for row in PINNED_ERRORS],
+    )
+    def test_class_line_and_message(self, text, cls, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(text)
+        assert type(exc.value) is cls
+        assert exc.value.line == line
+        assert str(exc.value) == message
+
+    def test_missing_capacity(self):
+        scenario = parse_scenario(MINIMAL.replace("name=Print capacity=34", "name=Print"))
+        with pytest.raises(MissingCapacity) as exc:
+            scenario.capacities()
+        assert str(exc.value) == "node 0 offers 'Print' but no capacity is configured"
+
+
+# sha256 of ``repr(parse_scenario(text))`` for each bundled scenario, and of
+# the reprs of seeds 0..99 of ``random_scenario_text`` concatenated in seed
+# order; recorded from the parser as it stood before it was rewritten
+PARSED_DIGESTS = {
+    "fig3_family/feasible_print.scn": "9b83f13635dbc6977bc63e18cfe5693bfd2e82c1ae69fe7777a35dcb8a705356",
+    "fig3_family/feasible_scan.scn": "3ff159979f8010b669bd5806503fb24de3af571fdb4d64b537843f3d45b9caa9",
+    "fig3_family/feasible_sendemail.scn": "d7008ae86c95a5b4324f92cdf841ca5cda80c28c3573ac1c4d0683ee6149d428",
+    "fig3_family/feasible_updatebdd.scn": "93792b6fc5ad2b2eb9016212b717fc9496c93cba72184f55c0477b8422cd4f4a",
+    "fig3_family/feasible_view.scn": "36b9fd32f5a1c779caaec73fd0b8f0e73690050504ee81f680646350578b27ed",
+    "fig3_family/saturated_print.scn": "45fdb2b15f7de92596e201476b919cca7192a73732771ddea900df8f83f94650",
+    "fig3_family/saturated_scan.scn": "e4974c595d30c200dddd2604afe0825c4e8699e86778e619351a6a01ca822e02",
+    "fig3_family/saturated_sendemail.scn": "9b2446909927e2755d2ebb318b68f63af93b573603f0a52fed22835b49f18737",
+    "fig3_family/saturated_updatebdd.scn": "ff5a8aa868a545154eac63f89e1a6792d40a538100b3254e56339dd9390fa341",
+    "fig3_family/saturated_view.scn": "6e6493594ac23c164f93fffe80797d546b5880b788586900d765569ecace0d36",
+    "table3.scn": "4d6e04bd81dacaba04e4a9e6f000e87ee721dc0120cabdae3c63b2df83262c00",
+}
+RANDOM_PARSED_DIGEST = "0dd2081bd932ed6627fe4db9337bf8cce310d73faa040bbd8cba51cb66084d6b"
+
+
+class TestPinnedScenarios:
+    def test_every_bundled_scenario_is_pinned(self):
+        root = resources.files("ubisim.scenarios")
+        found = {"table3.scn"} | {
+            f"fig3_family/{p.name}" for p in (root / "fig3_family").iterdir()
+            if p.name.endswith(".scn")
+        }
+        assert found == set(PARSED_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(PARSED_DIGESTS))
+    def test_bundled_scenario_parses_as_before(self, name):
+        scenario = parse_scenario(bundled_scenario_text(name))
+        assert hashlib.sha256(repr(scenario).encode()).hexdigest() == PARSED_DIGESTS[name]
+
+    def test_random_scenarios_parse_as_before(self):
+        h = hashlib.sha256()
+        for seed in range(100):
+            h.update(repr(parse_scenario(random_scenario_text(seed))).encode())
+        assert h.hexdigest() == RANDOM_PARSED_DIGEST
 
 
 class TestRoundTrip:
