@@ -23,9 +23,7 @@ EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
-# Reference rows the repro command is gated on, keyed by service identifier
-# in column order.
-REFERENCE_SERVICES = ["Print", "View", "SendEmail", "UpdateBDD", "Scan"]
+# Reference rows the repro command is gated on, keyed by service identifier.
 REFERENCE_CAPACITY = {"Print": 34, "View": 123, "SendEmail": 10, "UpdateBDD": 50, "Scan": 8}
 REFERENCE_OVERLOAD = {"Print": 50, "View": 124, "SendEmail": 21, "UpdateBDD": 56, "Scan": 30}
 

@@ -32,11 +32,6 @@ class Topology:
         frozen = {n: frozenset(nbs) for n, nbs in adjacency.items()}
         object.__setattr__(self, "_adjacency", frozen)
 
-    @staticmethod
-    def build(nodes, edges) -> "Topology":
-        norm = frozenset((min(a, b), max(a, b)) for a, b in edges)
-        return Topology(frozenset(nodes), norm)
-
     def neighbors(self, node: int) -> frozenset[int]:
         """The node's neighbours, empty for an unknown node. The set is the
         topology's own, shared by every caller and immutable."""
@@ -133,13 +128,10 @@ def reform_cluster(sim, old_head: int) -> list[Cluster]:
     running = [m for m in members if sim.devices[m].status is not Status.DEPLETED]
     new_clusters = []
     if running:
-        nodes = set(running)
-        edges = set()
-        for m in running:
-            for nb in sim.devices[m].neighbors:
-                if nb in nodes:
-                    edges.add((min(m, nb), max(m, nb)))
-        sub = Topology.build(nodes, edges)
+        nodes = frozenset(running)
+        edges = frozenset((m, nb) for m in running for nb in sim.devices[m].neighbors
+                          if m < nb and nb in nodes)
+        sub = Topology(nodes, edges)
         energies = {m: sim.energy(m) for m in running}
         new_clusters = form_clusters(sub, energies)
     new_clusters.append(Cluster(old_head))

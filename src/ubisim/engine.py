@@ -51,10 +51,8 @@ from .reconfig import (
 )
 from .scenario import Scenario
 from .simkernel import (
-    KERNEL,
     Arrival,
     InjectOverload,
-    LocalDelivery,
     RunLog,
     Simulation,
     Unreachable,
@@ -162,11 +160,11 @@ class Engine:
         self.agents: dict[int, DetectionAgent] = deploy_agents(self.sim, clusters)
         self.pending: dict[int, list[EpisodeRecord]] = {}
         for k in range(run.ticks // run.window):
-            self.sim.schedule((k + 1) * run.window, KERNEL, WindowBoundary(k))
+            self.sim.schedule((k + 1) * run.window, WindowBoundary(k))
         for w in scenario.workload:
-            self.sim.schedule(w.at, w.node, Arrival(w.node, w.service, w.n))
+            self.sim.schedule(w.at, Arrival(w.node, w.service, w.n))
         for i in scenario.injections:
-            self.sim.schedule(i.at, i.node, InjectOverload(i.node, i.service, i.load))
+            self.sim.schedule(i.at, InjectOverload(i.node, i.service, i.load))
         self.sim.on_boundary = self._on_boundary
         self.sim.on_message = self._on_message
         self.sim.on_depleted = self._on_depleted
@@ -231,15 +229,14 @@ class Engine:
     # -- message handling --
 
     def _on_message(self, msg) -> None:
-        receiver = msg.node if isinstance(msg, LocalDelivery) else msg.receiver
         kind = msg.kind
         if kind == "agent_deploy":
-            self.agents[receiver] = DetectionAgent(host=receiver, controller=msg.sender)
+            self.agents[msg.receiver] = DetectionAgent(host=msg.receiver, controller=msg.sender)
             return
         if kind == "reconfigure":
             return  # notification only; the kernel already billed the radio
         if kind in ("report", "alert"):
-            controller = self.controllers.get(receiver)
+            controller = self.controllers.get(msg.receiver)
             if controller is None:
                 return
             verdict, sample = msg.payload

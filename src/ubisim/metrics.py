@@ -139,7 +139,6 @@ class RunReport:
     unresolved: int = 0
     per_service: dict[Service, dict[str, int]] = field(default_factory=dict)
     jain_pairs: list[tuple[Service, object, object]] = field(default_factory=list)
-    energy_consumed: dict[int, int] = field(default_factory=dict)
     cluster_variance: dict[int, int | float] = field(default_factory=dict)
     total_energy_mj: int = 0
     lost_requests: int = 0
@@ -174,7 +173,6 @@ def build_report(log: RunLog) -> RunReport:
         unresolved=unresolved,
         per_service=per_service,
         jain_pairs=jain_pairs,
-        energy_consumed=energy["consumed"],
         cluster_variance=energy["cluster_variance"],
         total_energy_mj=sum(energy["consumed"].values()),
         lost_requests=log.lost_requests,

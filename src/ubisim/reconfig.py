@@ -202,7 +202,7 @@ def apply_static(plan: ReconfigPlan, sim,
             dev.status = Status.QUIESCED
             sim.log.downtime[nid] = sim.log.downtime.get(nid, 0) + quiesce_ticks
             sim.emit(sim.clock, nid, "quiesce", f"ticks={quiesce_ticks}")
-            sim.schedule(sim.clock + quiesce_ticks, nid, Resume(nid))
+            sim.schedule(sim.clock + quiesce_ticks, Resume(nid))
     return apply_dynamic(plan, sim)
 
 

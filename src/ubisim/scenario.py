@@ -260,8 +260,6 @@ def parse_scenario(text: str) -> Scenario:
     if not scenario.nodes:
         raise MalformedLine("no [nodes] declared", 0)
     run = scenario.run
-    if run.window < 1:
-        raise NegativeValue("window must be >= 1", 0)
     if run.ticks < run.window:
         raise MalformedLine(f"ticks ({run.ticks}) must be >= window ({run.window})", 0)
     for kind, at, lineno in p.item_lines:

@@ -9,7 +9,10 @@ generator in dispatch order and every iteration over devices is id-sorted.
 The trace is one line per happening, ``tick seq target kind details``,
 written only by ``Simulation.emit``. A dispatched event's line carries the
 seq it was scheduled with; every other line draws the next seq when it is
-written.
+written. Its target is the payload's own node: a message's receiver, the
+node of an arrival, injection or resume, and ``KERNEL`` for a window
+boundary. A head's own report is a ``Message`` to itself, passed to
+``on_message`` at once without the radio.
 
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
@@ -41,7 +44,7 @@ import itertools
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .model import (
     Activity,
@@ -99,34 +102,25 @@ class Resume:
 
 @dataclass(slots=True)
 class Message:
+    """A message from ``sender`` to ``receiver``. ``Simulation.send`` builds
+    every radio message, never one to its own sender; a message with
+    ``sender == receiver`` is a head's own report, from ``local_deliver``."""
+
     sender: int
     receiver: int
     kind: str  # "report" | "alert" | "reconfigure" | "agent_deploy"
-    payload: object = None
-    sent_at: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sender == self.receiver:
-            raise ValueError("a message cannot be sent to its own sender")
-
-
-@dataclass(slots=True)
-class LocalDelivery:
-    """Head-local report from the head's own agent; bypasses the radio."""
-
-    node: int
-    kind: str
     payload: object = None
 
 
 Payload = Union[Message, WindowBoundary, Arrival, InjectOverload, Resume]
 
 
-@dataclass(slots=True)
-class Event:
+class Event(NamedTuple):
+    """One scheduled happening and the heap entry itself, ordered by
+    (time, seq); the seq is unique, so payloads are never compared."""
+
     time: int
     seq: int
-    target: Union[int, str]
     payload: Payload
 
 
@@ -135,11 +129,9 @@ class Event:
 
 @dataclass(slots=True)
 class InjectionRecord:
-    tick: int
     window: int
     node: int
     service: Service
-    amount: int
     load_after: int
     baseline: int
 
@@ -230,7 +222,7 @@ class Simulation:
         self.drop_p = drop_p
         self.rng = random.Random(seed)
         self.clock = 0
-        self.queue: list[tuple[int, int, Event]] = []  # heapq of (time, seq, event)
+        self.queue: list[Event] = []  # a heapq
         self._seq = itertools.count()
         self.log = RunLog()
         self.demand: dict[int, dict[Service, int]] = {d.id: d.load for d in devices}
@@ -254,7 +246,7 @@ class Simulation:
             self.log.window_served[d.id] = []
             self.log.downtime[d.id] = 0
         self.on_boundary: Callable[[int], None]
-        self.on_message: Callable[[object], None]
+        self.on_message: Callable[[Message], None]
         self.on_depleted: Callable[[int], None]
         self.clear_hooks()
 
@@ -276,19 +268,20 @@ class Simulation:
 
     # -- scheduling and stepping --
 
-    def schedule(self, time: int, target: Union[int, str], payload: Payload) -> Event:
-        """Enqueue a payload for dispatch at ``time``; FIFO within a tick."""
+    def schedule(self, time: int, payload: Payload) -> Event:
+        """Enqueue a payload for dispatch at ``time``; FIFO within a tick. The
+        payload names the node its trace line is written under."""
         if time < self.clock:
             raise PastEvent(f"cannot schedule at t={time}, clock is {self.clock}")
-        ev = Event(time, next(self._seq), target, payload)
-        heapq.heappush(self.queue, (time, ev.seq, ev))
+        ev = Event(time, next(self._seq), payload)
+        heapq.heappush(self.queue, ev)
         return ev
 
     def step(self) -> Optional[Event]:
         """Process the minimal (time, seq) event; None when idle."""
         if not self.queue:
             return None
-        ev = heapq.heappop(self.queue)[2]
+        ev = heapq.heappop(self.queue)
         if ev.time > self.clock:
             self._flush_through(ev.time - 1)
             self._open = {}
@@ -327,13 +320,13 @@ class Simulation:
             self.emit(self.clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
             return
         self.emit(self.clock, sender, "send", f"to={receiver} kind={kind}")
-        msg = Message(sender, receiver, kind, payload, sent_at=self.clock)
-        self.schedule(self.clock + self.latency, receiver, msg)
+        self.schedule(self.clock + self.latency, Message(sender, receiver, kind, payload))
 
     def local_deliver(self, node: int, kind: str, payload: object = None) -> None:
-        """Zero-cost delivery from a node to itself (head-hosted agent path)."""
+        """Pass ``node``'s own report to ``on_message`` now, as a ``Message``
+        to itself: no radio, no cost, no event (head-hosted agent path)."""
         self.emit(self.clock, node, "local", f"kind={kind}")
-        self.on_message(LocalDelivery(node, kind, payload))
+        self.on_message(Message(node, node, kind, payload))
 
     # -- cluster registry --
 
@@ -486,21 +479,21 @@ class Simulation:
         """Write the event's trace line under its own seq, then apply it."""
         p = ev.payload
         if isinstance(p, Message):
-            self.emit(ev.time, ev.target, "deliver", f"from={p.sender} kind={p.kind}", ev.seq)
+            self.emit(ev.time, p.receiver, "deliver", f"from={p.sender} kind={p.kind}", ev.seq)
             self._deliver(p)
         elif isinstance(p, Arrival):
-            self.emit(ev.time, ev.target, "arrival", f"service={p.service} n={p.count}", ev.seq)
+            self.emit(ev.time, p.node, "arrival", f"service={p.service} n={p.count}", ev.seq)
             self._apply_arrival(p.node, p.service, p.count, injected=False)
         elif isinstance(p, InjectOverload):
-            self.emit(ev.time, ev.target, "inject", f"service={p.service} amount={p.amount}",
+            self.emit(ev.time, p.node, "inject", f"service={p.service} amount={p.amount}",
                       ev.seq)
             self._apply_arrival(p.node, p.service, p.amount, injected=True)
         elif isinstance(p, WindowBoundary):
-            self.emit(ev.time, ev.target, "boundary", f"window={p.window}", ev.seq)
+            self.emit(ev.time, KERNEL, "boundary", f"window={p.window}", ev.seq)
             self.on_boundary(p.window)
             self._close_window(p.window)
         elif isinstance(p, Resume):
-            self.emit(ev.time, ev.target, "resume", "", ev.seq)
+            self.emit(ev.time, p.node, "resume", "", ev.seq)
             dev = self.devices[p.node]
             if dev.status is Status.QUIESCED:
                 dev.status = Status.RUNNING
@@ -518,11 +511,9 @@ class Simulation:
         if injected:
             self.log.injections.append(
                 InjectionRecord(
-                    tick=self.clock,
                     window=self.clock // self.window,
                     node=node,
                     service=service,
-                    amount=n,
                     load_after=dev.load[service],
                     baseline=dev.capacities.get(service, 0),
                 )

@@ -191,7 +191,7 @@ def test_radio_past_the_horizon_is_never_billed():
                      window=10, horizon=15)
     sim.install_clusters([Cluster(0, frozenset({1}))])
     for tick in (17, 19):
-        sim.schedule(tick, 0, Resume(0))
+        sim.schedule(tick, Resume(0))
         sim.step()
         sim.send(1, 0, "report")
     log = sim.run_until(30)
@@ -215,7 +215,7 @@ def test_hostile_seeds_keep_their_ledgers():
 def test_energy_reads_settle_through_the_tick_before_the_clock():
     devs = [make_device(0, energy=1_000), make_device(1, energy=1_000, neighbors={0})]
     sim = Simulation(devs, EnergyParams(idle_per_tick=3), window=100, horizon=100)
-    sim.schedule(50, 0, Resume(0))  # node 0 is running: a no-op event
+    sim.schedule(50, Resume(0))  # node 0 is running: a no-op event
     sim.step()
     assert sim.devices[1].energy_mj == 1_000  # ticks 0-49 not billed yet
     assert sim.energy(1) == 1_000 - 3 * 50

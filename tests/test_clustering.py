@@ -48,12 +48,12 @@ class TestElectHead:
 
 class TestFormClusters:
     def test_singleton(self):
-        topo = Topology.build({7}, [])
+        topo = Topology(frozenset({7}), frozenset())
         clusters = form_clusters(topo, {7: 100})
         assert clusters == [Cluster(head=7, members=frozenset())]
 
     def test_path_equal_energy(self):
-        topo = Topology.build({0, 1, 2}, [(0, 1), (1, 2)])
+        topo = Topology(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
         clusters = form_clusters(topo, {0: 5, 1: 5, 2: 5})
         assert clusters == [
             Cluster(head=0, members=frozenset({1})),
@@ -63,12 +63,12 @@ class TestFormClusters:
     def test_complete_graph_single_cluster(self):
         nodes = set(range(5))
         edges = [(a, b) for a in nodes for b in nodes if a < b]
-        clusters = form_clusters(Topology.build(nodes, edges), {n: 9 for n in nodes})
+        clusters = form_clusters(Topology(frozenset(nodes), frozenset(edges)), {n: 9 for n in nodes})
         assert clusters == [Cluster(head=0, members=frozenset({1, 2, 3, 4}))]
 
     def test_empty_topology_rejected(self):
         with pytest.raises(ValueError):
-            form_clusters(Topology.build(set(), []), {})
+            form_clusters(Topology(frozenset(), frozenset()), {})
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -82,7 +82,7 @@ class TestFormClusters:
         nodes = set(range(n))
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         edges = [p for p, keep in zip(pairs, edge_bits) if keep]
-        topo = Topology.build(nodes, edges)
+        topo = Topology(frozenset(nodes), frozenset(edges))
         rng = random.Random(energy_seed)
         energies = {i: rng.randint(0, 500) for i in nodes}
         clusters = form_clusters(topo, energies)
@@ -104,7 +104,7 @@ def graphs_with_tied_energies(draw):
     edges = [p for p, k in zip(pairs, keep) if k]
     levels = draw(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=3))
     energies = {i: draw(st.sampled_from(levels)) for i in range(n)}
-    return Topology.build(set(range(n)), edges), energies
+    return Topology(frozenset(range(n)), frozenset(edges)), energies
 
 
 def reference_clusters(topology, energies):
@@ -154,17 +154,17 @@ class TestSweepEquivalence:
         assert form_clusters(topo, energies) == clusters
 
     def test_neighbors_of_unknown_node_is_empty(self):
-        assert Topology.build({0, 1}, [(0, 1)]).neighbors(5) == set()
+        assert Topology(frozenset({0, 1}), frozenset({(0, 1)})).neighbors(5) == set()
 
 
 class TestTopology:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            Topology.build({0}, [(0, 0)])
+            Topology(frozenset({0}), frozenset({(0, 0)}))
 
     def test_rejects_unknown_endpoint(self):
         with pytest.raises(ValueError):
-            Topology.build({0}, [(0, 9)])
+            Topology(frozenset({0}), frozenset({(0, 9)}))
 
 
 class TestDeployAgents:

@@ -12,16 +12,22 @@ from ubisim.scenario import (
     UnknownService,
     parse_scenario,
 )
-from ubisim.simkernel import Message, Simulation
+from ubisim.simkernel import Simulation, Unreachable
 
 from conftest import make_device
 from test_reconfig import cluster_sim
 
 
 class TestKernelGuards:
-    def test_self_addressed_message_rejected(self):
-        with pytest.raises(ValueError):
-            Message(sender=1, receiver=1, kind="report")
+    def test_self_addressed_send_unreachable(self):
+        # a node's own report goes through local_deliver, never the radio
+        sim = cluster_sim({0: {"S": 0}, 1: {"S": 0}})
+        lines = list(sim.log.lines)
+        for node in (0, 1):
+            with pytest.raises(Unreachable):
+                sim.send(node, node, "report")
+        assert sim.log.lines == lines
+        assert sim.queue == [] and sim._owed == {}
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -48,7 +54,7 @@ class TestKernelGuards:
         from ubisim.simkernel import Resume
 
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 0}})
-        sim.schedule(2, 1, Resume(1))
+        sim.schedule(2, Resume(1))
         sim.run_until(3)
         assert sim.devices[1].status is Status.RUNNING
 

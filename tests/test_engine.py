@@ -263,7 +263,7 @@ class TestCollectorPause:
 
 @pytest.mark.parametrize("record", [
     simkernel.Event, simkernel.WindowBoundary, simkernel.Arrival, simkernel.InjectOverload,
-    simkernel.Resume, simkernel.Message, simkernel.LocalDelivery, simkernel.InjectionRecord,
+    simkernel.Resume, simkernel.Message, simkernel.InjectionRecord,
     model.Activity, detection.Overload, detection.EnergyAnomaly, detection.BehaviorSample,
     detection.DetectionAgent, detection.DetectionVerdict,
 ], ids=lambda cls: cls.__name__)

@@ -23,7 +23,7 @@ from ubisim.cli import bundled_scenario_text
 from ubisim.engine import Engine, run_scenario
 from ubisim.model import Status
 from ubisim.scenario import parse_scenario
-from ubisim.simkernel import LocalDelivery, Simulation
+from ubisim.simkernel import Simulation
 
 from test_trace_digests import BUNDLED
 
@@ -103,7 +103,7 @@ def observed_run(scenario, monkeypatch):
         radio["tx"] += 1
 
     def counting_on_message(self, msg):
-        if not isinstance(msg, LocalDelivery):
+        if msg.sender != msg.receiver:
             radio["rx"] += 1
         on_message(self, msg)
 

@@ -277,8 +277,8 @@ class TestApplyStatic:
 
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         apply_static(plan_16(), sim, quiesce_ticks=2)
-        sim.schedule(1, 1, Arrival(1, "S", 5))
-        sim.schedule(3, 1, Arrival(1, "S", 7))  # after resume
+        sim.schedule(1, Arrival(1, "S", 5))
+        sim.schedule(3, Arrival(1, "S", 7))  # after resume
         sim.run_until(5)
         assert sim.log.lost_requests == 5
         assert sim.devices[1].load["S"] == 34 + 7

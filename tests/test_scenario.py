@@ -138,8 +138,8 @@ def after_minimal(lines):
 # and message each raises; several rows pin which of two problems on one
 # line is reported. Recorded from the parser as it stood before it was
 # rewritten to handle each line once. The defensive "unparseable line"
-# branch and the "window must be >= 1" check after the loop have no row:
-# no input reaches them, as every field is checked where it is read.
+# branch has no row: no input reaches it, as every field is checked where it
+# is read.
 PINNED_ERRORS = [
     ('token_without_equals', after_minimal('[run]\nticks'),
      MalformedLine, 15, "MalformedLine line 15: expected key=value fields, got 'ticks'"),

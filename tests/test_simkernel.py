@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ubisim.clustering import Cluster
@@ -5,8 +7,8 @@ from ubisim.engine import run_scenario
 from ubisim.model import EnergyParams, Status
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import (
-    KERNEL,
     Arrival,
+    Message,
     PastEvent,
     Resume,
     SenderDepleted,
@@ -28,6 +30,27 @@ def event_lines(log, kind):
     return [(int(r[0]), int(r[1])) for r in rows if r[3] == kind]
 
 
+def radio_lines(log, latency):
+    """Multisets of (tick, sender, receiver, kind): each ``send`` line dated
+    ``latency`` ticks after it was written, and each ``deliver`` line."""
+    sent, delivered = Counter(), Counter()
+    for tick, _seq, node, kind, *details in map(str.split, log.lines):
+        if kind not in ("send", "deliver"):
+            continue
+        fields = dict(d.split("=", 1) for d in details)
+        if kind == "send":
+            sent[int(tick) + latency, int(node), int(fields["to"]), fields["kind"]] += 1
+        else:
+            delivered[int(tick), int(fields["from"]), int(node), fields["kind"]] += 1
+    return sent, delivered
+
+
+def in_flight(sim):
+    """The radio messages still queued, keyed as ``radio_lines`` keys them."""
+    return Counter((ev.time, ev.payload.sender, ev.payload.receiver, ev.payload.kind)
+                   for ev in sim.queue if isinstance(ev.payload, Message))
+
+
 def two_node_sim(**kw):
     devs = [
         make_device(0, capacities={"Print": 34}),
@@ -42,16 +65,16 @@ def two_node_sim(**kw):
 class TestQueueOrdering:
     def test_pops_earliest_time(self):
         sim = two_node_sim()
-        sim.schedule(9, 0, NOOP)
-        sim.schedule(2, 0, NOOP)
+        sim.schedule(9, NOOP)
+        sim.schedule(2, NOOP)
         ev = sim.step()
         assert ev.time == 2
         assert sim.clock == 2
 
     def test_fifo_within_tick(self):
         sim = two_node_sim()
-        first = sim.schedule(5, 0, NOOP)
-        second = sim.schedule(5, 0, NOOP)
+        first = sim.schedule(5, NOOP)
+        second = sim.schedule(5, NOOP)
         assert sim.step() is first
         assert sim.step() is second
 
@@ -62,15 +85,15 @@ class TestQueueOrdering:
 
     def test_past_event_rejected(self):
         sim = two_node_sim()
-        sim.schedule(7, 0, NOOP)
+        sim.schedule(7, NOOP)
         sim.step()
         with pytest.raises(PastEvent):
-            sim.schedule(3, 0, NOOP)
+            sim.schedule(3, NOOP)
 
     def test_processed_order_strictly_increasing(self):
         sim = two_node_sim()
         for t in (4, 1, 4, 9, 1):
-            sim.schedule(t, 0, NOOP)
+            sim.schedule(t, NOOP)
         sim.run_until(50)
         order = event_lines(sim.log, "resume")
         assert [tick for tick, _seq in order] == [1, 1, 4, 4, 9]
@@ -85,9 +108,9 @@ class TestSend:
         sim.on_message = lambda msg: seen.append((sim.clock, msg))
         sim.send(1, 0, "report")
         sim.run_until(5)
-        assert len(seen) == 1
-        tick, msg = seen[0]
-        assert tick == msg.sent_at + 1 == 1
+        assert seen == [(1, Message(1, 0, "report"))]
+        sent, delivered = radio_lines(sim.log, sim.latency)
+        assert sent == delivered == Counter({(1, 1, 0, "report"): 1})
 
     def test_cross_cluster_unreachable(self):
         devs = [make_device(i, capacities={"P": 1}) for i in range(4)]
@@ -109,7 +132,6 @@ class TestSend:
 
     def test_every_tx_matches_rx_or_drop(self):
         from ubisim.engine import Engine
-        from ubisim.simkernel import Message
 
         scenario = parse_scenario(random_scenario_text(77))
         scenario.run.drop = 0.3
@@ -119,27 +141,25 @@ class TestSend:
         sends = kinds.count("send")
         delivered = kinds.count("deliver")
         dropped = kinds.count("drop")
-        in_flight = sum(
-            1 for _, _, ev in engine.sim.queue if isinstance(ev.payload, Message)
-        )
+        queued = sum(in_flight(engine.sim).values())
         # every transmission either got a delivery event, an explicit drop
         # record, or is still in flight at the horizon
         assert dropped == log.drops
-        assert sends == delivered + in_flight
+        assert sends == delivered + queued
         assert dropped > 0  # the 0.3 drop rate actually exercised the path
 
 
 class TestRunUntil:
     def test_t_end_zero_processes_instant_events(self):
         sim = two_node_sim()
-        sim.schedule(0, KERNEL, WindowBoundary(0))
+        sim.schedule(0, WindowBoundary(0))
         log = sim.run_until(0)
         assert event_lines(log, "boundary") == [(0, 1)]  # seq 0 is the cluster line
 
     def test_stops_before_later_events(self):
         sim = two_node_sim()
-        sim.schedule(3, 0, NOOP)
-        sim.schedule(30, 0, NOOP)
+        sim.schedule(3, NOOP)
+        sim.schedule(30, NOOP)
         sim.run_until(10)
         assert sim.clock == 3
         assert len(sim.queue) == 1
@@ -153,7 +173,7 @@ class TestRunUntil:
 
     def test_past_t_end_rejected(self):
         sim = two_node_sim()
-        sim.schedule(8, 0, NOOP)
+        sim.schedule(8, NOOP)
         sim.run_until(8)
         with pytest.raises(PastEvent):
             sim.run_until(2)
@@ -162,14 +182,14 @@ class TestRunUntil:
 class TestArrivals:
     def test_arrival_feeds_load_and_demand(self):
         sim = two_node_sim()
-        sim.schedule(2, 1, Arrival(1, "Print", 7))
+        sim.schedule(2, Arrival(1, "Print", 7))
         sim.run_until(5)
         assert sim.devices[1].load["Print"] == 7
 
     def test_arrival_to_quiesced_is_lost(self):
         sim = two_node_sim()
         sim.devices[1].status = Status.QUIESCED
-        sim.schedule(2, 1, Arrival(1, "Print", 7))
+        sim.schedule(2, Arrival(1, "Print", 7))
         sim.run_until(5)
         assert sim.log.lost_requests == 7
         assert sim.devices[1].load["Print"] == 0
@@ -198,29 +218,21 @@ class TestDeterminism:
         assert b.serialize()
 
     def test_no_delivery_before_send(self):
-        scenario = parse_scenario(random_scenario_text(11))
         from ubisim.engine import Engine
 
-        engine = Engine(scenario)
-        deliveries = []
-        inner = engine.sim.on_message
-        sim = engine.sim
-
-        def spy(msg):
-            if hasattr(msg, "sent_at"):
-                deliveries.append((sim.clock, msg.sent_at))
-            inner(msg)
-
-        sim.on_message = spy
-        engine.run()
-        assert deliveries
-        assert all(tick >= sent + 1 for tick, sent in deliveries)
+        engine = Engine(parse_scenario(random_scenario_text(11)))
+        log = engine.run()
+        sent, delivered = radio_lines(log, engine.sim.latency)
+        # each delivery is one send exactly ``latency`` ticks earlier; the
+        # sends left over are the messages still queued at the horizon
+        assert delivered
+        assert sent == delivered + in_flight(engine.sim)
 
 
 def test_window_boundary_resets_and_reseeds():
     sim = two_node_sim(horizon=20, window=10)
-    sim.schedule(10, KERNEL, WindowBoundary(0))
-    sim.schedule(3, 1, Arrival(1, "Print", 4))
+    sim.schedule(10, WindowBoundary(0))
+    sim.schedule(3, Arrival(1, "Print", 4))
     sim.run_until(20)
     # served snapshot archived; the load, which is the standing demand, carries over
     assert sim.log.window_served[1] == [{"Print": 4}]

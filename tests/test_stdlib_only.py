@@ -1,8 +1,9 @@
-"""The runtime imports nothing outside the standard library, and every
-module but the package's ``__init__``, and every test module, uses each name
-it imports."""
+"""The runtime imports nothing outside the standard library; every module
+but the package's ``__init__``, and every test module, uses each name it
+imports; and every name the package defines is used somewhere."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import ubisim
 
 PACKAGE = Path(ubisim.__file__).parent
 TESTS = Path(__file__).parent
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def foreign_imports(path):
@@ -45,6 +47,60 @@ def unused_imports(path):
     return found
 
 
+def definitions(tree):
+    """(name, qualified name, first line, last line) of each module-level
+    function, class and constant in ``tree`` and of each method of its
+    classes, dunders left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                found += [(f.name, f"{node.name}.{f.name}", f.lineno, f.end_lineno)
+                          for f in node.body
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.id, n.id, node.lineno, node.end_lineno) for t in targets
+                      for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [d for d in found if not (d[0].startswith("__") and d[0].endswith("__"))]
+
+
+def references(tree):
+    """(name, line) of each name ``tree`` reads, imports or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def dead_names(modules, readers):
+    """(file, line, qualified name) of each definition in ``modules`` that no
+    file of ``modules`` or ``readers`` refers to outside the definition."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in {*modules, *readers}}
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            seen.setdefault(name, []).append((path, line))
+    dead = []
+    for path in modules:
+        for name, qualname, first, last in definitions(trees[path]):
+            if all(p == path and first <= line <= last for p, line in seen.get(name, [])):
+                dead.append((path.name, first, qualname))
+    return dead
+
+
+def overrides_a_base(module_file, qualname):
+    """Whether ``qualname`` is a method of a package class that replaces one
+    it inherits, which the base's own callers reach."""
+    owner, _, name = qualname.rpartition(".")
+    module = importlib.import_module(f"ubisim.{Path(module_file).stem}")
+    return bool(owner) and any(name in vars(base) for base in getattr(module, owner).__mro__[1:])
+
+
 def test_every_module_imports_only_stdlib_and_ubisim():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) >= 10
@@ -76,3 +132,27 @@ def test_guard_flags_an_unused_import(tmp_path):
         "x: model.Service = field()\nos.sep\n"
     )
     assert unused_imports(probe) == [(3, "osp"), (5, "InitVar")]
+
+
+def test_every_defined_name_is_used():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    readers = sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert len(modules) >= 10 and len(readers) >= 16
+    dead = dead_names(modules, readers)
+    assert [d for d in dead if not overrides_a_base(d[0], d[2])] == []
+
+
+def test_guard_flags_a_dead_name(tmp_path):
+    module, reader = tmp_path / "module.py", tmp_path / "reader.py"
+    module.write_text(
+        "__version__ = '1'\nLIMIT = 3\nUNUSED = 4\n"
+        "def walk(n):\n    return walk(n - 1) if n else LIMIT\n"
+        "class Box:\n    def __init__(self):\n        self.kept = self.fill()\n"
+        "    def fill(self):\n        return 1\n    def spare(self):\n        return 2\n"
+    )
+    reader.write_text("from module import Box\nBox.spare = None\n")
+    assert dead_names([module], [reader]) == [
+        ("module.py", 3, "UNUSED"), ("module.py", 4, "walk"), ("module.py", 11, "Box.spare"),
+    ]
+    assert overrides_a_base("cli.py", "_Parser.error")  # argparse calls it
+    assert not overrides_a_base("cli.py", "_build_parser")
