@@ -13,11 +13,11 @@ from .detection import (
     report_alert,
 )
 from .engine import Engine, run_scenario
-from .metrics import build_report, correction_stats, detection_stats, energy_report, jain_index
+from .metrics import build_report, detection_stats, energy_report, jain_index
 from .model import (
     Activity,
     DeviceState,
-    EnergyParams,
+    EnergySpec,
     Service,
     Status,
     apply_requests,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import EnergyParams, Service, SimulationError, Status
+from .model import EnergySpec, Service, SimulationError, Status
 from .simkernel import Unreachable
 
 
@@ -53,16 +53,17 @@ class KnowledgeBase:
     routine protocol messages (reports out of members, reports/directives
     through heads).
 
-    ``energy_tolerance`` is read once, at construction, into the integer
-    numerator and denominator of the exact fraction its decimal literal
-    names, and ``window`` and ``params.idle_per_tick`` into the window's idle
+    ``params`` is the scenario's ``energy`` itself, which the kernel bills
+    from too. ``energy_tolerance`` is read once, at construction, into the
+    integer numerator and denominator of the exact fraction its decimal
+    literal names, and ``window`` and ``params.idle`` into the window's idle
     cost. Nothing in the simulator changes any of them afterwards, and a
     caller that does must build a new KnowledgeBase. ``msg_budget`` and the
     per-request costs are read at each comparison.
     """
 
     capacities: dict[int, dict[Service, int]]
-    params: EnergyParams
+    params: EnergySpec
     window: int
     msg_budget: dict[int, int] = field(default_factory=dict)
     energy_tolerance: float = 0.10
@@ -70,13 +71,13 @@ class KnowledgeBase:
     def __post_init__(self) -> None:
         tolerance = Fraction(str(self.energy_tolerance))
         self._tol_num, self._tol_den = tolerance.numerator, tolerance.denominator
-        self._idle_per_window = self.window * self.params.idle_per_tick
+        self._idle_per_window = self.window * self.params.idle
 
     def baseline_for(self, node: int, service: Service) -> int:
         return self.capacities[node][service]
 
     def expected_energy(self, node: int, served: dict[Service, int]) -> int:
-        cost, default = self.params.per_request.get, self.params.default_per_request
+        cost, default = self.params.request.get, self.params.request_default
         expected = self._idle_per_window
         for svc, count in served.items():
             expected += cost(svc, default) * count
@@ -129,8 +130,8 @@ def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
     controllers' views, and nothing mutates them. The message allowance is
     sized from the cluster layout.
     """
-    params = scenario.energy_params()
-    per_msg = params.tx_per_msg + params.rx_per_msg
+    params = scenario.energy
+    per_msg = params.tx + params.rx
     budget: dict[int, int] = {}
     for cluster in clusters:
         budget[cluster.head] = per_msg * len(cluster.members)

@@ -3,9 +3,10 @@ agent/controller protocol, and emit the output artifacts.
 
 Per window each live agent samples its host, compares against the knowledge
 base, and reports (alerting on any overload). Alerts reach the cluster-head
-controller one latency tick later; the controller plans at most one
-reconfiguration per alerting node per window, applies it in the configured
-mode, and the episode is judged against the node's next-window sample.
+controller one latency tick later. An agent alerts at most once a window,
+so the controller plans at most one reconfiguration per alerting node per
+window; it applies it in the configured mode, and the episode is judged
+against the node's next-window sample.
 
 ``Engine.__init__`` installs the engine's bound methods as the kernel's
 protocol hooks, so the engine and its Simulation refer to each other.
@@ -50,14 +51,7 @@ from .reconfig import (
     service_outcome,
 )
 from .scenario import Scenario
-from .simkernel import (
-    Arrival,
-    InjectOverload,
-    RunLog,
-    Simulation,
-    Unreachable,
-    WindowBoundary,
-)
+from .simkernel import RunLog, Simulation, Unreachable, WindowBoundary
 
 
 @dataclass
@@ -107,18 +101,15 @@ def _collector_paused():
             gc.enable()
 
 
-class _Controller:
-    """Cluster-head state: the view of the cluster and the plans made.
+def _controller(head: int, nodes, kb) -> ClusterView:
+    """A cluster head's controller, which is its view of the cluster.
 
-    The view owns the head's id. Its entries are keyed by the cluster's
-    nodes, head included, in id order; each holds the knowledge base's
-    capacity dict for its node. Re-formation replaces the controller.
+    The entries are keyed by the cluster's nodes, head included, in id
+    order; each holds the knowledge base's capacity dict for its node.
+    Re-formation replaces the view.
     """
-
-    def __init__(self, head: int, nodes, kb):
-        entries = {n: ViewEntry(node=n, capacities=kb.capacities[n]) for n in sorted(nodes)}
-        self.view = ClusterView(head=head, entries=entries)
-        self.planned: set[tuple[int, int]] = set()
+    entries = {n: ViewEntry(node=n, capacities=kb.capacities[n]) for n in sorted(nodes)}
+    return ClusterView(head=head, entries=entries)
 
 
 class Engine:
@@ -128,7 +119,6 @@ class Engine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         run = scenario.run
-        params = scenario.energy_params()
         capacities = scenario.capacities()
         topo = scenario.topology()
         devices = [
@@ -142,7 +132,7 @@ class Engine:
         ]
         self.sim = Simulation(
             devices,
-            params,
+            scenario.energy,
             window=run.window,
             horizon=run.ticks,
             latency=run.latency,
@@ -154,17 +144,13 @@ class Engine:
         clusters = form_clusters(topo, energies)
         self.sim.install_clusters(clusters)
         self.kb = build_knowledge_base(scenario, capacities, clusters)
-        self.controllers = {
-            c.head: _Controller(c.head, c.nodes, self.kb) for c in clusters
-        }
+        self.controllers = {c.head: _controller(c.head, c.nodes, self.kb) for c in clusters}
         self.agents: dict[int, DetectionAgent] = deploy_agents(self.sim, clusters)
         self.pending: dict[int, list[EpisodeRecord]] = {}
         for k in range(run.ticks // run.window):
             self.sim.schedule((k + 1) * run.window, WindowBoundary(k))
-        for w in scenario.workload:
-            self.sim.schedule(w.at, Arrival(w.node, w.service, w.n))
-        for i in scenario.injections:
-            self.sim.schedule(i.at, InjectOverload(i.node, i.service, i.load))
+        for item in (*scenario.workload, *scenario.injections):
+            self.sim.schedule(item.at, item)
         self.sim.on_boundary = self._on_boundary
         self.sim.on_message = self._on_message
         self.sim.on_depleted = self._on_depleted
@@ -236,35 +222,28 @@ class Engine:
         if kind == "reconfigure":
             return  # notification only; the kernel already billed the radio
         if kind in ("report", "alert"):
-            controller = self.controllers.get(msg.receiver)
-            if controller is None:
+            view = self.controllers.get(msg.receiver)
+            if view is None:
                 return
             verdict, sample = msg.payload
-            if sample.node in controller.view.entries:
-                controller.view.observe(sample.node, sample.observed, sample.window)
+            if sample.node in view.entries:
+                view.observe(sample.node, sample.observed, sample.window)
             if kind == "alert":
-                self._handle_alert(controller, verdict)
+                self._handle_alert(view, verdict)
 
-    def _handle_alert(self, controller: _Controller, verdict: DetectionVerdict) -> None:
+    def _handle_alert(self, view: ClusterView, verdict: DetectionVerdict) -> None:
         """Plan, apply and record one correction; the cluster's loads are read
         again after the plan only when a directive moved a non-zero amount."""
         sim = self.sim
-        key = (verdict.node, verdict.window)
-        if key in controller.planned:
-            return
-        controller.planned.add(key)
         if not verdict.overloaded:
             return  # energy-only alert: nothing to migrate
         try:
-            plan = plan_reconfiguration(
-                controller.view, verdict, staleness_max=self.scenario.run.staleness_max,
-            )
+            plan = plan_reconfiguration(view, verdict,
+                                        staleness_max=self.scenario.run.staleness_max)
         except StaleView:
-            controller.planned.discard(key)
-            sim.emit(sim.clock, controller.view.head, "defer",
-                     f"node={verdict.node} window={verdict.window}")
+            sim.emit(sim.clock, view.head, "defer", f"node={verdict.node} window={verdict.window}")
             return
-        totals_before, jain_before = self._balance(controller.view.entries, plan.residual)
+        totals_before, jain_before = self._balance(view.entries, plan.residual)
         if self.mode is Mode.DYNAMIC:
             executed = apply_dynamic(plan, sim)
             downtime = 0
@@ -274,11 +253,10 @@ class Engine:
         moved = dict.fromkeys(plan.residual, 0)
         for directive, amount in executed:
             if amount:
-                controller.view.adjust(directive.service, directive.source,
-                                       directive.dest, amount)
+                view.adjust(directive.service, directive.source, directive.dest, amount)
                 moved[directive.service] += amount
         if any(moved.values()):
-            totals_after, jain_after = self._balance(controller.view.entries, plan.residual)
+            totals_after, jain_after = self._balance(view.entries, plan.residual)
         else:
             totals_after, jain_after = dict(totals_before), dict(jain_before)
         episode = EpisodeRecord(
@@ -324,9 +302,9 @@ class Engine:
     # -- depletion / re-formation --
 
     def _on_depleted(self, node: int) -> None:
-        controller = self.controllers.get(self.sim.head_of.get(node))
-        if controller is not None and node in controller.view.entries:
-            controller.view.entries[node].status = Status.DEPLETED
+        view = self.controllers.get(self.sim.head_of.get(node))
+        if view is not None and node in view.entries:
+            view.entries[node].status = Status.DEPLETED
         if node in self.sim.clusters:
             self._reform(node)
 
@@ -337,9 +315,7 @@ class Engine:
             head_dev = self.sim.devices[cluster.head]
             if head_dev.status is Status.DEPLETED:
                 continue
-            self.controllers[cluster.head] = _Controller(
-                cluster.head, cluster.nodes, self.kb
-            )
+            self.controllers[cluster.head] = _controller(cluster.head, cluster.nodes, self.kb)
             self.agents.setdefault(cluster.head, DetectionAgent(cluster.head, cluster.head))
             for n in cluster.nodes:
                 agent = self.agents.get(n)

@@ -1,5 +1,5 @@
 """Aggregate a finished run's log into the evaluation quantities:
-detection rate, per-service correction counts, Jain fairness, energy
+detection rate, correction outcome counts, Jain fairness, energy
 accounting, lost requests, and downtime.
 
 Everything here is a pure function over an immutable RunLog.
@@ -81,21 +81,6 @@ def detection_stats(log: RunLog) -> dict:
     return {"injected": len(injected), "detected": detected, "rate": rate}
 
 
-def correction_stats(log: RunLog) -> dict[Service, dict[str, int]]:
-    """Per-service episode outcome counts over resolved episodes."""
-    stats: dict[Service, dict[str, int]] = {}
-    for ep in log.episodes:
-        for svc, se in ep.services.items():
-            row = stats.setdefault(
-                svc, {"episodes": 0, "corrected": 0, "partial": 0, "failed": 0}
-            )
-            if se.outcome is None:
-                continue
-            row["episodes"] += 1
-            row[se.outcome.value] += 1
-    return stats
-
-
 def energy_report(log: RunLog) -> dict:
     """Per-node consumed millijoules plus per-cluster variance of the same."""
     consumed = {
@@ -137,7 +122,6 @@ class RunReport:
     partial: int = 0
     failed: int = 0
     unresolved: int = 0
-    per_service: dict[Service, dict[str, int]] = field(default_factory=dict)
     jain_pairs: list[tuple[Service, object, object]] = field(default_factory=list)
     cluster_variance: dict[int, int | float] = field(default_factory=dict)
     total_energy_mj: int = 0
@@ -150,7 +134,6 @@ class RunReport:
 
 def build_report(log: RunLog) -> RunReport:
     det = detection_stats(log)
-    per_service = correction_stats(log)
     outcome_counts = {o: 0 for o in Outcome}
     unresolved = 0
     jain_pairs = []
@@ -171,7 +154,6 @@ def build_report(log: RunLog) -> RunReport:
         partial=outcome_counts[Outcome.PARTIAL],
         failed=outcome_counts[Outcome.FAILED],
         unresolved=unresolved,
-        per_service=per_service,
         jain_pairs=jain_pairs,
         cluster_variance=energy["cluster_variance"],
         total_energy_mj=sum(energy["consumed"].values()),

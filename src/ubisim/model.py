@@ -5,6 +5,13 @@ Loads and capacities are integers (requests per measurement window).
 Energy is tracked in whole millijoules and only ever decreases; a debit
 saturates at the remaining charge and a device whose charge reaches zero
 is permanently depleted.
+
+The energy costs are an ``EnergySpec``, the scenario's parsed ``[energy]``
+section itself: ``idle`` is charged once per tick a device is powered on,
+``tx``/``rx`` once per message sent/received, and serving one request of a
+service costs ``request[service]``, else ``request_default``. The kernel,
+the knowledge base and ``energy_delta`` all read ``Scenario.energy`` and
+none of them mutates it.
 """
 
 from __future__ import annotations
@@ -35,21 +42,14 @@ class Status(Enum):
 
 
 @dataclass
-class EnergyParams:
-    """Per-activity energy costs in millijoules.
+class EnergySpec:
+    """Per-activity energy costs in millijoules; see the module docstring."""
 
-    ``idle_per_tick`` is charged once per simulated tick a device is powered
-    on; ``per_request`` gives the cost of serving one request of a given
-    service, falling back to ``default_per_request`` for services without an
-    explicit entry; ``tx_per_msg``/``rx_per_msg`` are charged per message
-    sent/received.
-    """
-
-    idle_per_tick: int = 1
-    per_request: dict[Service, int] = field(default_factory=dict)
-    tx_per_msg: int = 2
-    rx_per_msg: int = 1
-    default_per_request: int = 5
+    idle: int = 1
+    tx: int = 2
+    rx: int = 1
+    request_default: int = 5
+    request: dict[Service, int] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -114,18 +114,18 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
     device.load[service] = device.load.get(service, 0) + n
 
 
-def energy_delta(activity: Activity, params: EnergyParams) -> int:
+def energy_delta(activity: Activity, params: EnergySpec) -> int:
     """Millijoules ``activity`` costs under ``params``, idle span included."""
-    delta = params.idle_per_tick * activity.ticks
-    cost, default = params.per_request.get, params.default_per_request
+    delta = params.idle * activity.ticks
+    cost, default = params.request.get, params.request_default
     for svc, count in activity.requests_served.items():
         delta += cost(svc, default) * count
-    delta += params.tx_per_msg * activity.msgs_tx
-    delta += params.rx_per_msg * activity.msgs_rx
+    delta += params.tx * activity.msgs_tx
+    delta += params.rx * activity.msgs_rx
     return delta
 
 
-def consume_energy(device: DeviceState, activity: Activity, params: EnergyParams) -> int:
+def consume_energy(device: DeviceState, activity: Activity, params: EnergySpec) -> int:
     """Debit ``activity`` from the device battery.
 
     Returns the amount actually debited, which is the full activity cost

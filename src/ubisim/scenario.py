@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import EnergyParams, SimulationError
+from .model import EnergySpec, SimulationError
 
 
 class ParseError(SimulationError):
@@ -87,16 +87,7 @@ class NodeSpec:
     overrides: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class EnergySpec:
-    idle: int = 1
-    tx: int = 2
-    rx: int = 1
-    request_default: int = 5
-    request: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
+@dataclass(slots=True)
 class WorkloadItem:
     at: int
     node: int
@@ -104,7 +95,7 @@ class WorkloadItem:
     n: int
 
 
-@dataclass
+@dataclass(slots=True)
 class InjectItem:
     at: int
     node: int
@@ -150,15 +141,6 @@ class Scenario:
                     raise MissingCapacity(
                         f"node {nid} offers {svc!r} but no capacity is configured")
         return out
-
-    def energy_params(self) -> EnergyParams:
-        return EnergyParams(
-            idle_per_tick=self.energy.idle,
-            per_request=dict(self.energy.request),
-            tx_per_msg=self.energy.tx,
-            rx_per_msg=self.energy.rx,
-            default_per_request=self.energy.request_default,
-        )
 
     def topology(self):
         """The node graph; ``edges`` are already (low, high) pairs, as parsed."""

@@ -10,9 +10,11 @@ The trace is one line per happening, ``tick seq target kind details``,
 written only by ``Simulation.emit``. A dispatched event's line carries the
 seq it was scheduled with; every other line draws the next seq when it is
 written. Its target is the payload's own node: a message's receiver, the
-node of an arrival, injection or resume, and ``KERNEL`` for a window
-boundary. A head's own report is a ``Message`` to itself, passed to
-``on_message`` at once without the radio.
+``node`` of a ``[workload]`` or ``[inject]`` line (the scenario's own
+``WorkloadItem`` or ``InjectItem``, scheduled as the payload), the node of a
+resume, and ``KERNEL`` for a window boundary. A head's own report is a
+``Message`` to itself, passed to ``on_message`` at once without the radio.
+The kernel never mutates a payload, so one ``Scenario`` can be run twice.
 
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
@@ -50,13 +52,14 @@ from .model import (
     Activity,
     DeviceState,
     DeviceUnavailable,
-    EnergyParams,
+    EnergySpec,
     Service,
     SimulationError,
     Status,
     apply_requests,
     consume_energy,
 )
+from .scenario import InjectItem, WorkloadItem
 
 KERNEL = "KERNEL"
 
@@ -82,20 +85,6 @@ class WindowBoundary:
 
 
 @dataclass(slots=True)
-class Arrival:
-    node: int
-    service: Service
-    count: int
-
-
-@dataclass(slots=True)
-class InjectOverload:
-    node: int
-    service: Service
-    amount: int
-
-
-@dataclass(slots=True)
 class Resume:
     node: int
 
@@ -112,12 +101,14 @@ class Message:
     payload: object = None
 
 
-Payload = Union[Message, WindowBoundary, Arrival, InjectOverload, Resume]
+# A workload or inject payload is the scenario's parsed item itself.
+Payload = Union[Message, WindowBoundary, WorkloadItem, InjectItem, Resume]
 
 
 class Event(NamedTuple):
     """One scheduled happening and the heap entry itself, ordered by
-    (time, seq); the seq is unique, so payloads are never compared."""
+    (time, seq); the seq is unique, so payloads are never compared. The
+    payload is held, not copied, and dispatch only reads it."""
 
     time: int
     seq: int
@@ -200,7 +191,7 @@ class Simulation:
     def __init__(
         self,
         devices: list[DeviceState],
-        params: EnergyParams,
+        params: EnergySpec,
         *,
         window: int = 10,
         horizon: int = 100,
@@ -360,13 +351,13 @@ class Simulation:
         if owed is None:  # nothing owed since the last bill, which set the margin
             billed = self._billed[node]
             end = min(self._window_last_after(billed), self.horizon)
-            margin = self.devices[node].energy_mj - p.idle_per_tick * (end - 1 - billed) - 1
+            margin = self.devices[node].energy_mj - p.idle * (end - 1 - billed) - 1
             owed = self._owed[node] = [0, 0, margin]
         if node not in self._open:
             self._open[node] = (owed[0], owed[1])
         owed[0] += tx
         owed[1] += rx
-        owed[2] -= p.tx_per_msg * tx + p.rx_per_msg * rx
+        owed[2] -= p.tx * tx + p.rx * rx
         if owed[2] < 0:
             heapq.heappush(self._depletions, (self.clock, node))
 
@@ -433,7 +424,7 @@ class Simulation:
         next window's last tick is queued; a later one is found when that
         tick bills the device.
         """
-        idle = self.params.idle_per_tick
+        idle = self.params.idle
         if idle <= 0:
             return
         before = min(self._window_last_after(tick), self.horizon)
@@ -481,13 +472,12 @@ class Simulation:
         if isinstance(p, Message):
             self.emit(ev.time, p.receiver, "deliver", f"from={p.sender} kind={p.kind}", ev.seq)
             self._deliver(p)
-        elif isinstance(p, Arrival):
-            self.emit(ev.time, p.node, "arrival", f"service={p.service} n={p.count}", ev.seq)
-            self._apply_arrival(p.node, p.service, p.count, injected=False)
-        elif isinstance(p, InjectOverload):
-            self.emit(ev.time, p.node, "inject", f"service={p.service} amount={p.amount}",
-                      ev.seq)
-            self._apply_arrival(p.node, p.service, p.amount, injected=True)
+        elif isinstance(p, WorkloadItem):
+            self.emit(ev.time, p.node, "arrival", f"service={p.service} n={p.n}", ev.seq)
+            self._apply_arrival(p.node, p.service, p.n, injected=False)
+        elif isinstance(p, InjectItem):
+            self.emit(ev.time, p.node, "inject", f"service={p.service} amount={p.load}", ev.seq)
+            self._apply_arrival(p.node, p.service, p.load, injected=True)
         elif isinstance(p, WindowBoundary):
             self.emit(ev.time, KERNEL, "boundary", f"window={p.window}", ev.seq)
             self.on_boundary(p.window)

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from ubisim.model import DeviceState, EnergyParams
+from ubisim.model import DeviceState, EnergySpec
 from ubisim.scenario import parse_scenario
 
 
 @pytest.fixture
 def params():
-    return EnergyParams(idle_per_tick=1, tx_per_msg=2, rx_per_msg=1, default_per_request=5)
+    return EnergySpec(idle=1, tx=2, rx=1, request_default=5)
 
 
 def make_device(nid=0, energy=10_000, capacities=None, neighbors=(), **kw):

@@ -14,7 +14,7 @@ import pytest
 import ubisim.simkernel
 from ubisim.clustering import Cluster
 from ubisim.engine import run_scenario
-from ubisim.model import EnergyParams
+from ubisim.model import EnergySpec
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import Resume, Simulation
 
@@ -187,8 +187,7 @@ def test_report_is_billed_at_its_tick_only_past_the_margin(monkeypatch, battery,
 
 def test_radio_past_the_horizon_is_never_billed():
     devs = [make_device(0, energy=1_000), make_device(1, energy=1_000, neighbors={0})]
-    sim = Simulation(devs, EnergyParams(idle_per_tick=1, tx_per_msg=5, rx_per_msg=3),
-                     window=10, horizon=15)
+    sim = Simulation(devs, EnergySpec(idle=1, tx=5, rx=3), window=10, horizon=15)
     sim.install_clusters([Cluster(0, frozenset({1}))])
     for tick in (17, 19):
         sim.schedule(tick, Resume(0))
@@ -214,7 +213,7 @@ def test_hostile_seeds_keep_their_ledgers():
 
 def test_energy_reads_settle_through_the_tick_before_the_clock():
     devs = [make_device(0, energy=1_000), make_device(1, energy=1_000, neighbors={0})]
-    sim = Simulation(devs, EnergyParams(idle_per_tick=3), window=100, horizon=100)
+    sim = Simulation(devs, EnergySpec(idle=3), window=100, horizon=100)
     sim.schedule(50, Resume(0))  # node 0 is running: a no-op event
     sim.step()
     assert sim.devices[1].energy_mj == 1_000  # ticks 0-49 not billed yet

@@ -10,7 +10,7 @@ from ubisim.clustering import (
     form_clusters,
     reform_cluster,
 )
-from ubisim.model import EnergyParams, Status
+from ubisim.model import EnergySpec, Status
 from ubisim.simkernel import Simulation
 
 from conftest import make_device
@@ -19,7 +19,7 @@ from conftest import make_device
 def star_sim(n=4):
     devs = [make_device(0, neighbors=set(range(1, n)))]
     devs += [make_device(i, neighbors={0}) for i in range(1, n)]
-    return Simulation(devs, EnergyParams())
+    return Simulation(devs, EnergySpec())
 
 
 class TestElectHead:
@@ -181,7 +181,7 @@ class TestDeployAgents:
 
     def test_singleton_head_self_hosts(self):
         dev = make_device(5)
-        sim = Simulation([dev], EnergyParams())
+        sim = Simulation([dev], EnergySpec())
         clusters = [Cluster(head=5)]
         sim.install_clusters(clusters)
         agents = deploy_agents(sim, clusters)
@@ -209,7 +209,7 @@ class TestReformCluster:
             make_device(2, neighbors={0, 1}),
             make_device(3, neighbors={0}),
         ]
-        sim = Simulation(devs, EnergyParams())
+        sim = Simulation(devs, EnergySpec())
         sim.install_clusters([Cluster(head=0, members=frozenset({1, 2, 3}))])
         sim.devices[0].energy_mj = 0
         sim.devices[0].status = Status.DEPLETED
@@ -227,7 +227,7 @@ class TestReformCluster:
             make_device(1, neighbors={0, 2}, energy=500),
             make_device(2, neighbors={0, 1}, energy=900),
         ]
-        sim = Simulation(devs, EnergyParams())
+        sim = Simulation(devs, EnergySpec())
         sim.install_clusters([Cluster(head=0, members=frozenset({1, 2}))])
         sim.devices[0].status = Status.DEPLETED
         sim.devices[0].energy_mj = 0

@@ -19,7 +19,7 @@ from ubisim.detection import (
     report_alert,
 )
 from ubisim.engine import Engine, run_scenario
-from ubisim.model import EnergyParams
+from ubisim.model import EnergySpec
 from ubisim.scenario import MissingCapacity, parse_scenario
 
 from ubisim.cli import load_bundled_scenario
@@ -34,7 +34,7 @@ def simple_kb(baselines=None, node=1, window=10, budget=0, tolerance=0.10):
     baselines = baselines or TABLE_BASELINES
     return KnowledgeBase(
         capacities={node: baselines},
-        params=EnergyParams(),
+        params=EnergySpec(),
         window=window,
         msg_budget={node: budget},
         energy_tolerance=tolerance,
@@ -250,7 +250,7 @@ class TestKnowledgeBaseIndex:
     }
 
     def _kb(self):
-        return KnowledgeBase(capacities=self.CAPACITIES, params=EnergyParams(), window=10)
+        return KnowledgeBase(capacities=self.CAPACITIES, params=EnergySpec(), window=10)
 
     def test_unknown_node_still_raises(self):
         kb = self._kb()

@@ -1,10 +1,10 @@
-"""Contract-level edge branches: dead letters, duplicate alerts, directive
-degradation, kernel construction guards, and parser error variants."""
+"""Contract-level edge branches: dead letters, directive degradation, kernel
+construction guards, and parser error variants."""
 
 import pytest
 
 from ubisim.clustering import Cluster
-from ubisim.model import EnergyParams, Status
+from ubisim.model import EnergySpec, Status
 from ubisim.reconfig import MigrationDirective, ReconfigPlan, apply_dynamic
 from ubisim.scenario import (
     MalformedLine,
@@ -31,11 +31,11 @@ class TestKernelGuards:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            Simulation([make_device(0)], EnergyParams(), window=0)
+            Simulation([make_device(0)], EnergySpec(), window=0)
         with pytest.raises(ValueError):
-            Simulation([make_device(0)], EnergyParams(), latency=0)
+            Simulation([make_device(0)], EnergySpec(), latency=0)
         with pytest.raises(ValueError):
-            Simulation([make_device(0), make_device(0)], EnergyParams())
+            Simulation([make_device(0), make_device(0)], EnergySpec())
 
     def test_delivery_to_depleted_receiver_dead_letters(self):
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 0}})
@@ -106,23 +106,6 @@ class TestDirectiveDegradation:
             MigrationDirective("S", 1, 1, 5)
         with pytest.raises(ValueError):
             MigrationDirective("S", 1, 2, 0)
-
-
-class TestControllerDeduplication:
-    def test_one_plan_per_alerting_node_per_window(self):
-        from ubisim.cli import load_bundled_scenario
-        from ubisim.detection import DetectionVerdict, Overload
-        from ubisim.engine import Engine
-
-        engine = Engine(load_bundled_scenario())
-        engine.sim.run_until(19)  # agents live, window 1 in progress
-        controller = engine.controllers[0]
-        verdict = DetectionVerdict(
-            node=1, window=1, overloaded={"Print": Overload(50, 34)}
-        )
-        engine._handle_alert(controller, verdict)
-        engine._handle_alert(controller, verdict)
-        assert len(engine.sim.log.episodes) == 1
 
 
 class TestHeadLostWithoutRebind:

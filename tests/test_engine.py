@@ -10,9 +10,9 @@ from ubisim import detection, model, simkernel
 from ubisim.cli import bundled_scenario_text, load_bundled_scenario
 from ubisim.engine import Engine, run_scenario
 from ubisim.metrics import build_report
-from ubisim.model import EnergyParams, Status
+from ubisim.model import EnergySpec, Status
 from ubisim.reconfig import Outcome
-from ubisim.scenario import parse_scenario
+from ubisim.scenario import InjectItem, WorkloadItem, parse_scenario
 from ubisim.simkernel import Simulation
 
 from test_invariants import UNREACHABLE_SEEDS, hostile_scenario_text
@@ -111,9 +111,23 @@ class TestOneOwnerPerFact:
         for n, dev in engine.sim.devices.items():
             assert dev.capacities is capacities[n], n
         assert engine.controllers
-        for head, controller in engine.controllers.items():
-            for n, entry in controller.view.entries.items():
+        for head, view in engine.controllers.items():
+            for n, entry in view.entries.items():
                 assert entry.capacities is capacities[n], (head, n)
+
+    def test_the_scenario_records_are_the_run_records(self):
+        scenario = parse_scenario(self.SCENARIOS["hostile_3"])
+        engine = Engine(scenario)
+        assert engine.sim.params is engine.kb.params is scenario.energy
+        # the workload lines are scheduled, then the inject lines, each as parsed
+        queued = [ev.payload for ev in sorted(engine.sim.queue, key=lambda ev: ev.seq)
+                  if isinstance(ev.payload, (WorkloadItem, InjectItem))]
+        expected = [*scenario.workload, *scenario.injections]
+        assert scenario.workload and scenario.injections and len(queued) == len(expected)
+        assert all(got is want for got, want in zip(queued, expected))
+        # dispatch only reads them, so the same scenario replays
+        first = engine.run().serialize()
+        assert Engine(scenario).run().serialize() == first
 
 
 class TestStaleViewDeferral:
@@ -214,7 +228,7 @@ def collector(request):
 
 
 def assert_no_op_hooks(sim):
-    no_op = Simulation([], EnergyParams()).on_boundary
+    no_op = Simulation([], EnergySpec()).on_boundary
     assert (sim.on_boundary, sim.on_message, sim.on_depleted) == (no_op,) * 3
 
 
@@ -262,7 +276,7 @@ class TestCollectorPause:
 
 
 @pytest.mark.parametrize("record", [
-    simkernel.Event, simkernel.WindowBoundary, simkernel.Arrival, simkernel.InjectOverload,
+    simkernel.Event, simkernel.WindowBoundary, WorkloadItem, InjectItem,
     simkernel.Resume, simkernel.Message, simkernel.InjectionRecord,
     model.Activity, detection.Overload, detection.EnergyAnomaly, detection.BehaviorSample,
     detection.DetectionAgent, detection.DetectionVerdict,

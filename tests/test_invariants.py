@@ -142,13 +142,13 @@ def assert_correction_bookkeeping(engine, log):
             assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
             assert ep.totals_after == ep.totals_before, (ep.node, ep.window)
     sim = engine.sim
-    for head, controller in engine.controllers.items():
+    for head, view in engine.controllers.items():
         if sim.devices[head].status is not Status.DEPLETED:
-            assert list(controller.view.entries) == sorted({head} | sim.clusters[head]), head
-            for n in controller.view.entries:
+            assert list(view.entries) == sorted({head} | sim.clusters[head]), head
+            for n in view.entries:
                 assert sim.head_of[n] == head, (n, head)
-                others = [h for h, c in engine.controllers.items()
-                          if h != head and n in c.view.entries]
+                others = [h for h, v in engine.controllers.items()
+                          if h != head and n in v.entries]
                 assert not others, (n, head, others)
 
 
@@ -184,6 +184,21 @@ def test_bundled_overloads_match_served(name, mode):
     log = engine.run()
     assert_overloads_match_served(log)
     assert_correction_bookkeeping(engine, log)
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_one_episode_per_alerting_node_window(mode):
+    # an agent alerts at most once a boundary and re-formation replaces the
+    # view, so no controller plans a node-window twice
+    planned = 0
+    for seed in SEEDS:
+        scenario = parse_scenario(hostile_scenario_text(seed))
+        scenario.run.mode = mode
+        _report, log = run_scenario(scenario)
+        keys = [(ep.node, ep.window) for ep in log.episodes]
+        assert len(keys) == len(set(keys)), seed
+        planned += len(keys)
+    assert planned
 
 
 def test_unreachable_seeds_report_to_a_depleted_controller():

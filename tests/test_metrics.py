@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from ubisim.cli import load_bundled_scenario
 from ubisim.engine import run_scenario
 from ubisim.metrics import (
-    correction_stats,
     detection_stats,
     energy_report,
     format_summary,
     jain_index,
     jain_index_of_pairs,
 )
-from ubisim.model import EnergyParams
+from ubisim.model import EnergySpec
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import RunLog, Simulation
 
@@ -134,28 +133,14 @@ class TestDetectionStats:
 
 
 class TestCorrectionStats:
-    def test_reference_run_all_corrected(self):
-        _report, log = run_scenario(load_bundled_scenario())
-        stats = correction_stats(log)
-        assert set(stats) == {"Print", "View", "SendEmail", "UpdateBDD", "Scan"}
-        for svc, row in stats.items():
-            assert row == {"episodes": 1, "corrected": 1, "partial": 0, "failed": 0}
-
     def test_saturated_scan_partial_with_exact_residual(self):
         from ubisim.cli import bundled_scenario_text
 
         text = bundled_scenario_text("fig3_family/saturated_scan.scn")
         _report, log = run_scenario(parse_scenario(text))
-        stats = correction_stats(log)
-        assert stats["Scan"] == {"episodes": 1, "corrected": 0, "partial": 1, "failed": 0}
         (episode,) = log.episodes
+        assert episode.services["Scan"].outcome.value == "partial"
         assert episode.services["Scan"].residual == 12  # excess 22, spare 10
-
-    def test_empty_run_empty_stats(self):
-        scenario = load_bundled_scenario()
-        scenario.injections.clear()
-        _report, log = run_scenario(scenario)
-        assert correction_stats(log) == {}
 
 
 class TestEnergyReport:
@@ -173,7 +158,7 @@ class TestEnergyReport:
         assert rep["cluster_variance"] == {0: 0.0, 1: 0.0}
 
     def test_zero_tick_run_all_zeros(self):
-        sim = Simulation([make_device(0), make_device(1)], EnergyParams(), horizon=0)
+        sim = Simulation([make_device(0), make_device(1)], EnergySpec(), horizon=0)
         log = sim.run_until(0)
         rep = energy_report(log)
         assert rep["consumed"] == {0: 0, 1: 0}

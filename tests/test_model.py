@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ubisim.model import (
     Activity,
     DeviceUnavailable,
-    EnergyParams,
+    EnergySpec,
     Status,
     UnknownService,
     apply_requests,
@@ -98,7 +98,7 @@ class TestConsumeEnergy:
             consume_energy(dev, Activity(), params)
 
     def test_per_service_cost_override(self):
-        params = EnergyParams(per_request={"Scan": 9}, default_per_request=5)
+        params = EnergySpec(request={"Scan": 9}, request_default=5)
         act = Activity(requests_served={"Scan": 2, "Print": 1})
         assert energy_delta(act, params) == 1 + 18 + 5
 
@@ -114,7 +114,7 @@ class TestConsumeEnergy:
     )
     @settings(deadline=None)
     def test_monotonic_and_ledger_balanced(self, activities):
-        params = EnergyParams()
+        params = EnergySpec()
         dev = make_device(energy=500)
         initial = dev.energy_mj
         debited = 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ubisim.clustering import Cluster
 from ubisim.detection import BehaviorSample, DetectionVerdict, KnowledgeBase, Overload
-from ubisim.model import EnergyParams, Status
+from ubisim.model import EnergySpec, Status
 from ubisim.reconfig import (
     ClusterView,
     MigrationDirective,
@@ -209,7 +209,7 @@ def cluster_sim(loads_by_node, caps=None):
         for s, n in loads_by_node[nid].items():
             dev.load[s] = n
         devs.append(dev)
-    sim = Simulation(devs, EnergyParams())
+    sim = Simulation(devs, EnergySpec())
     sim.install_clusters([Cluster(head=0, members=frozenset(i for i in ids if i != 0))])
     return sim
 
@@ -273,12 +273,12 @@ class TestApplyStatic:
         }
 
     def test_arrival_during_quiesce_lost(self):
-        from ubisim.simkernel import Arrival
+        from ubisim.scenario import WorkloadItem
 
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
         apply_static(plan_16(), sim, quiesce_ticks=2)
-        sim.schedule(1, Arrival(1, "S", 5))
-        sim.schedule(3, Arrival(1, "S", 7))  # after resume
+        sim.schedule(1, WorkloadItem(1, 1, "S", 5))
+        sim.schedule(3, WorkloadItem(3, 1, "S", 7))  # after resume
         sim.run_until(5)
         assert sim.log.lost_requests == 5
         assert sim.devices[1].load["S"] == 34 + 7
@@ -294,7 +294,7 @@ class TestApplyStatic:
 def kb_for(node, baselines, window=10):
     return KnowledgeBase(
         capacities={node: baselines},
-        params=EnergyParams(),
+        params=EnergySpec(),
         window=window,
         msg_budget={node: 100},
     )

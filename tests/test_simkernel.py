@@ -4,10 +4,9 @@ import pytest
 
 from ubisim.clustering import Cluster
 from ubisim.engine import run_scenario
-from ubisim.model import EnergyParams, Status
-from ubisim.scenario import parse_scenario
+from ubisim.model import EnergySpec, Status
+from ubisim.scenario import WorkloadItem, parse_scenario
 from ubisim.simkernel import (
-    Arrival,
     Message,
     PastEvent,
     Resume,
@@ -57,7 +56,7 @@ def two_node_sim(**kw):
         make_device(1, capacities={"Print": 34}, neighbors={0}),
     ]
     devs[0].neighbors = {1}
-    sim = Simulation(devs, EnergyParams(), **kw)
+    sim = Simulation(devs, EnergySpec(), **kw)
     sim.install_clusters([Cluster(head=0, members=frozenset({1}))])
     return sim
 
@@ -116,7 +115,7 @@ class TestSend:
         devs = [make_device(i, capacities={"P": 1}) for i in range(4)]
         devs[0].neighbors, devs[1].neighbors = {1}, {0}
         devs[2].neighbors, devs[3].neighbors = {3}, {2}
-        sim = Simulation(devs, EnergyParams())
+        sim = Simulation(devs, EnergySpec())
         sim.install_clusters([Cluster(0, frozenset({1})), Cluster(2, frozenset({3}))])
         with pytest.raises(Unreachable):
             sim.send(1, 2, "report")
@@ -182,14 +181,14 @@ class TestRunUntil:
 class TestArrivals:
     def test_arrival_feeds_load_and_demand(self):
         sim = two_node_sim()
-        sim.schedule(2, Arrival(1, "Print", 7))
+        sim.schedule(2, WorkloadItem(2, 1, "Print", 7))
         sim.run_until(5)
         assert sim.devices[1].load["Print"] == 7
 
     def test_arrival_to_quiesced_is_lost(self):
         sim = two_node_sim()
         sim.devices[1].status = Status.QUIESCED
-        sim.schedule(2, Arrival(1, "Print", 7))
+        sim.schedule(2, WorkloadItem(2, 1, "Print", 7))
         sim.run_until(5)
         assert sim.log.lost_requests == 7
         assert sim.devices[1].load["Print"] == 0
@@ -232,7 +231,7 @@ class TestDeterminism:
 def test_window_boundary_resets_and_reseeds():
     sim = two_node_sim(horizon=20, window=10)
     sim.schedule(10, WindowBoundary(0))
-    sim.schedule(3, Arrival(1, "Print", 4))
+    sim.schedule(3, WorkloadItem(3, 1, "Print", 4))
     sim.run_until(20)
     # served snapshot archived; the load, which is the standing demand, carries over
     assert sim.log.window_served[1] == [{"Print": 4}]

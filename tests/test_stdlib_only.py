@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library; every module
 but the package's ``__init__``, and every test module, uses each name it
-imports; and every name the package defines is used somewhere."""
+imports; every name the package defines is used somewhere; and every field
+of its dataclasses is read somewhere."""
 
 import ast
 import importlib
@@ -77,10 +78,14 @@ def references(tree):
             yield node.name, node.lineno
 
 
+def parse_all(paths):
+    return {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
 def dead_names(modules, readers):
     """(file, line, qualified name) of each definition in ``modules`` that no
     file of ``modules`` or ``readers`` refers to outside the definition."""
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in {*modules, *readers}}
+    trees = parse_all({*modules, *readers})
     seen: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in references(tree):
@@ -91,6 +96,39 @@ def dead_names(modules, readers):
             if all(p == path and first <= line <= last for p, line in seen.get(name, [])):
                 dead.append((path.name, first, qualname))
     return dead
+
+
+def attribute_reads(tree):
+    """Each name ``tree`` reads as an attribute or through ``getattr`` with a
+    constant name; a store or ``del`` is no read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def is_dataclass(cls):
+    for deco in cls.decorator_list:
+        deco = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(deco, "attr", getattr(deco, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules, readers):
+    """(file, line, Class.field) of each field of a module-level dataclass in
+    ``modules`` whose name no file of ``modules`` or ``readers`` reads."""
+    trees = parse_all({*modules, *readers})
+    read = {name for tree in trees.values() for name in attribute_reads(tree)}
+    return [(path.name, stmt.lineno, f"{cls.name}.{stmt.target.id}")
+            for path in modules for cls in trees[path].body
+            if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
 
 
 def overrides_a_base(module_file, qualname):
@@ -140,6 +178,7 @@ def test_every_defined_name_is_used():
     assert len(modules) >= 10 and len(readers) >= 16
     dead = dead_names(modules, readers)
     assert [d for d in dead if not overrides_a_base(d[0], d[2])] == []
+    assert unread_fields(modules, readers) == []
 
 
 def test_guard_flags_a_dead_name(tmp_path):
@@ -149,10 +188,16 @@ def test_guard_flags_a_dead_name(tmp_path):
         "def walk(n):\n    return walk(n - 1) if n else LIMIT\n"
         "class Box:\n    def __init__(self):\n        self.kept = self.fill()\n"
         "    def fill(self):\n        return 1\n    def spare(self):\n        return 2\n"
+        "@dataclasses.dataclass(slots=True)\n"
+        "class Rec:\n    kept: int\n    named: int\n    written: int = 0\n"
     )
-    reader.write_text("from module import Box\nBox.spare = None\n")
+    reader.write_text(
+        "from module import Box, Rec\nBox.spare = None\n"
+        "rec = Rec(1, 2)\nrec.written = rec.kept + getattr(rec, 'named')\n"
+    )
     assert dead_names([module], [reader]) == [
         ("module.py", 3, "UNUSED"), ("module.py", 4, "walk"), ("module.py", 11, "Box.spare"),
     ]
+    assert unread_fields([module], [reader]) == [("module.py", 17, "Rec.written")]
     assert overrides_a_base("cli.py", "_Parser.error")  # argparse calls it
     assert not overrides_a_base("cli.py", "_build_parser")
