@@ -54,7 +54,7 @@ from .scenario import Scenario
 from .simkernel import RunLog, Simulation, Unreachable, WindowBoundary
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceEpisode:
     excess_before: int
     moved: int
@@ -62,16 +62,19 @@ class ServiceEpisode:
     outcome: object = None  # reconfig.Outcome once resolved
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeRecord:
     """One applied reconfiguration plan and its eventual outcome.
 
     ``services`` owns the per-service books: each service's excess at the
     verdict, what moved and what was left. The episode's outcome is
     ``service_outcome`` of their summed excess and the summed excess the
-    next-window sample still shows. The after totals and Jain indices are
-    copies of the before ones when no directive moved a non-zero amount, the
-    only way a plan changes loads.
+    next-window sample still shows. When no directive moved a non-zero
+    amount, the only way a plan changes loads, the cluster is not read again:
+    the after totals and Jain indices are copies of the before ones. They are
+    copies, not the same dicts, so each of the four is its own record and a
+    change to one (as the benchmark gate's planted conservation fault makes
+    to ``totals_after``) leaves the others as they were.
     """
 
     window: int
@@ -199,15 +202,15 @@ class Engine:
                 self._reform(agent.controller)
 
     def _resolve_pending(self, window: int, samples) -> None:
-        for node in sorted(self.pending):
-            if node not in samples:
-                continue
+        for node in sorted(self.pending.keys() & samples.keys()):
             after = correction_outcome(samples[node], self.kb)
+            after_total = sum(after.values())
             for ep in self.pending.pop(node):  # every one is from an earlier window
+                before_total = 0
                 for svc, se in ep.services.items():
                     se.outcome = service_outcome(se.excess_before, after.get(svc, 0))
-                ep.outcome = service_outcome(
-                    sum(se.excess_before for se in ep.services.values()), sum(after.values()))
+                    before_total += se.excess_before
+                ep.outcome = service_outcome(before_total, after_total)
                 ep.post_window = window
                 self.sim.emit(self.sim.clock, node, "outcome",
                               f"window={ep.window} result={ep.outcome.value}")
@@ -251,28 +254,30 @@ class Engine:
             executed = apply_static(plan, sim, self.scenario.run.quiesce_ticks)
             downtime = self.scenario.run.quiesce_ticks if executed else 0
         moved = dict.fromkeys(plan.residual, 0)
+        involved = set()
         for directive, amount in executed:
+            involved.update((directive.source, directive.dest))
             if amount:
                 view.adjust(directive.service, directive.source, directive.dest, amount)
                 moved[directive.service] += amount
-        if any(moved.values()):
+        total_moved = sum(moved.values())
+        if total_moved:
             totals_after, jain_after = self._balance(view.entries, plan.residual)
         else:
             totals_after, jain_after = dict(totals_before), dict(jain_before)
+        services = {}
+        residual = 0
+        for svc, n in moved.items():
+            excess = verdict.overloaded[svc].excess
+            services[svc] = ServiceEpisode(excess_before=excess, moved=n, residual=excess - n)
+            residual += excess - n
         episode = EpisodeRecord(
             window=verdict.window,
             node=verdict.node,
             head=plan.head,
             mode=self.mode.value,
-            services={
-                svc: ServiceEpisode(
-                    excess_before=verdict.overloaded[svc].excess,
-                    moved=moved[svc],
-                    residual=verdict.overloaded[svc].excess - moved[svc],
-                )
-                for svc in plan.residual
-            },
-            involved=tuple(sorted({n for d, _amount in executed for n in (d.source, d.dest)})),
+            services=services,
+            involved=tuple(sorted(involved)),
             downtime_ticks=downtime,
             totals_before=totals_before,
             totals_after=totals_after,
@@ -283,19 +288,27 @@ class Engine:
         self.pending.setdefault(verdict.node, []).append(episode)
         sim.emit(sim.clock, plan.head, "plan",
                  f"node={verdict.node} window={verdict.window} "
-                 f"directives={len(plan.directives)} moved={sum(moved.values())} "
-                 f"residual={sum(se.residual for se in episode.services.values())}")
+                 f"directives={len(plan.directives)} moved={total_moved} residual={residual}")
 
     def _balance(self, nodes, services):
         """Per service: the total load over ``nodes`` and the exact Jain index
-        of their load/capacity ratios, nodes without capacity left out."""
-        devices = [self.sim.devices[n] for n in nodes]
+        of their load/capacity ratios, nodes without capacity left out of the
+        index but not the total. One walk over the nodes per service gives
+        both."""
+        devices = self.sim.devices
         totals: dict[Service, int] = {}
         jain: dict[Service, Fraction] = {}
         for svc in services:
-            pairs = [(d.load.get(svc, 0), d.capacities.get(svc, 0)) for d in devices]
-            totals[svc] = sum(load for load, _cap in pairs)
-            pairs = [p for p in pairs if p[1] > 0]
+            total = 0
+            pairs = []
+            for n in nodes:
+                d = devices[n]
+                load = d.load.get(svc, 0)
+                total += load
+                cap = d.capacities.get(svc, 0)
+                if cap > 0:
+                    pairs.append((load, cap))
+            totals[svc] = total
             jain[svc] = metrics.jain_index_of_pairs(pairs) if pairs else Fraction(1)
         return totals, jain
 

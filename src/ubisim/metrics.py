@@ -39,10 +39,11 @@ def jain_index_of_pairs(pairs):
     The ratios are put over one common denominator D, the lcm of the
     capacities, as x_i = a_i / D, so the index is T^2 / (n * S) with T the
     sum of the integer numerators a_i and S the sum of their squares:
-    integer sums and a single Fraction at the end.
+    integer sums and a single Fraction at the end. An empty list gets
+    ``_jain``'s error, as an empty list of values does.
     """
     caps = [cap for _load, cap in pairs]
-    if any(cap <= 0 for cap in caps):
+    if min(caps, default=1) <= 0:
         raise ValueError("jain_index capacities must be positive")
     common = math.lcm(*caps)
     return _jain([load * (common // cap) for load, cap in pairs], Fraction)
@@ -52,13 +53,13 @@ def _jain(values, divide):
     """(sum x)^2 / (n * sum x^2) as ``divide`` gives it; 1 when every x is 0."""
     if not values:
         raise ValueError("jain_index needs at least one value")
-    if any(v < 0 for v in values):
+    if min(values) < 0:
         raise ValueError("jain_index values must be non-negative")
     total = sum(values)
     if total == 0:
         one = total + 1
         return divide(one, one)
-    squares = sum(v * v for v in values)
+    squares = sum(map(operator.mul, values, values))
     return divide(total * total, len(values) * squares)
 
 

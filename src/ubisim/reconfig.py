@@ -75,7 +75,7 @@ class ClusterView:
                 entry.load = {**entry.load, service: entry.load.get(service, 0) + delta}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationDirective:
     service: Service
     source: int
@@ -89,7 +89,7 @@ class MigrationDirective:
             raise ValueError("directive amount must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class ReconfigPlan:
     """The directives planned for one alerting node, and what they leave.
 
@@ -116,23 +116,21 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     overloaded = verdict.overloaded
     if not overloaded:
         return plan
-    peers = [e for e in view.entries.values() if e.node != verdict.node]
+    node, oldest = verdict.node, verdict.window - staleness_max
     eligible = [
-        e for e in peers
-        if e.status is Status.RUNNING and e.load is not None
-        and verdict.window - e.window <= staleness_max
+        e for e in view.entries.values()
+        if e.node != node and e.status is Status.RUNNING and e.load is not None
+        and e.window >= oldest
     ]
-    if peers and not eligible:
-        raise StaleView(f"no fresh view of any peer of node {verdict.node}")
+    if not eligible and len(view.entries) > (node in view.entries):  # peers, none fresh
+        raise StaleView(f"no fresh view of any peer of node {node}")
     for service in sorted(overloaded):
         remaining = overloaded[service].excess
-        for neg_spare, node in sorted((-e.spare(service), e.node) for e in eligible):
+        for neg_spare, dest in sorted([(-e.spare(service), e.node) for e in eligible]):
             take = min(remaining, -neg_spare)
             if take < 1:
                 break
-            plan.directives.append(
-                MigrationDirective(service=service, source=verdict.node, dest=node, amount=take)
-            )
+            plan.directives.append(MigrationDirective(service, node, dest, take))
             remaining -= take
         plan.residual[service] = remaining
     return plan
@@ -194,7 +192,10 @@ def apply_static(plan: ReconfigPlan, sim,
 
     Quiesced devices reject arrivals (counted as lost by the kernel) and
     serve nothing while stopped; each records ``quiesce_ticks`` of downtime.
+    A plan with no directive involves no device.
     """
+    if not plan.directives:
+        return apply_dynamic(plan, sim)
     involved = sorted({n for d in plan.directives if _live(d, sim) for n in (d.source, d.dest)})
     for nid in involved:
         dev = sim.devices[nid]

@@ -1,14 +1,15 @@
 """End-to-end protocol paths: re-formation on head death, deferred plans,
 energy-anomaly alerts, lossy-radio robustness, and a finished run's memory."""
 
+import dataclasses
 import gc
 
 import pytest
 
 import ubisim.engine
-from ubisim import detection, model, simkernel
+from ubisim import detection, model, reconfig, simkernel
 from ubisim.cli import bundled_scenario_text, load_bundled_scenario
-from ubisim.engine import Engine, run_scenario
+from ubisim.engine import Engine, EpisodeRecord, ServiceEpisode, run_scenario
 from ubisim.metrics import build_report
 from ubisim.model import EnergySpec, Status
 from ubisim.reconfig import Outcome
@@ -284,6 +285,24 @@ class TestCollectorPause:
 def test_per_node_window_records_have_slots(record):
     # made once per event or node-window: no per-instance __dict__
     assert "__slots__" in vars(record)
+
+
+@pytest.mark.parametrize("record", [
+    EpisodeRecord, ServiceEpisode, reconfig.ReconfigPlan, reconfig.MigrationDirective,
+], ids=lambda cls: cls.__name__)
+def test_per_alert_records_have_slots(record):
+    # made once per alert: no per-instance __dict__
+    assert "__slots__" in vars(record)
+
+
+def test_migration_directive_stays_frozen_and_hashable():
+    directive = reconfig.MigrationDirective("S", source=1, dest=2, amount=3)
+    twin = reconfig.MigrationDirective("S", source=1, dest=2, amount=3)
+    assert hash(directive) == hash(twin) and {directive, twin} == {directive}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        directive.amount = 4
+    with pytest.raises(ValueError, match="amount must be >= 1"):
+        reconfig.MigrationDirective("S", source=1, dest=2, amount=0)
 
 
 # Seeds 0-59 of the hostile generator re-form clusters and defer plans on

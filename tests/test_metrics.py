@@ -53,11 +53,16 @@ class TestJainIndex:
         assert type(jain_index(nonzero)) is kind
         assert jain_index(zeros) == 1
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            jain_index([])
-        with pytest.raises(ValueError):
-            jain_index([0.5, -0.1])
+    @pytest.mark.parametrize("values, message", [
+        ([], "jain_index needs at least one value"),
+        ([0.5, -0.1], "jain_index values must be non-negative"),
+        ([2, -1], "jain_index values must be non-negative"),
+        ([Fraction(1, 2), Fraction(-1, 3)], "jain_index values must be non-negative"),
+    ], ids=["empty", "negative-float", "negative-int", "negative-fraction"])
+    def test_input_validation(self, values, message):
+        with pytest.raises(ValueError) as excinfo:
+            jain_index(values)
+        assert str(excinfo.value) == message
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=20))
     @settings(deadline=None)
@@ -104,10 +109,18 @@ class TestJainIndex:
         assert j == naive
         assert type(j) is Fraction
 
-    @pytest.mark.parametrize("pairs", [[], [(1, 2), (-1, 3)], [(1, 2), (1, 0)], [(1, -2)]])
-    def test_pairs_validation(self, pairs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("pairs, message", [
+        ([], "jain_index needs at least one value"),
+        ([(1, 2), (-1, 3)], "jain_index values must be non-negative"),
+        ([(1, 2), (1, 0)], "jain_index capacities must be positive"),
+        ([(1, -2)], "jain_index capacities must be positive"),
+    ], ids=["empty", "negative-load", "zero-capacity", "negative-capacity"])
+    def test_pairs_validation(self, pairs, message):
+        # the message, not only the class: an empty list must not surface
+        # min()'s own "arg is an empty sequence"
+        with pytest.raises(ValueError) as excinfo:
             jain_index_of_pairs(pairs)
+        assert str(excinfo.value) == message
 
 
 class TestDetectionStats:

@@ -284,9 +284,14 @@ class TestApplyStatic:
         assert sim.devices[1].load["S"] == 34 + 7
 
     def test_empty_plan_quiesces_nothing(self):
-        sim = cluster_sim({0: {"S": 0}, 1: {"S": 5}})
-        plan = ReconfigPlan(head=0, node=1)
-        apply_static(plan, sim, quiesce_ticks=2)
+        # a plan that found no peer spare: the whole excess is residual, and
+        # nothing is written, quiesced, scheduled or sent
+        sim = cluster_sim({0: {"S": 40}, 1: {"S": 45}})
+        lines, queued = list(sim.log.lines), list(sim.queue)
+        plan = ReconfigPlan(head=0, node=1, residual={"S": 5})
+        assert apply_static(plan, sim, quiesce_ticks=2) == []
+        assert sim.log.lines == lines
+        assert sim.queue == queued
         assert all(d.status is Status.RUNNING for d in sim.devices.values())
         assert sum(sim.log.downtime.values()) == 0
 

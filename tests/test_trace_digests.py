@@ -9,6 +9,9 @@ integer sums; ``report.cluster_variance`` likewise, recorded before
 ``energy_report`` stopped calling ``statistics.pvariance``. The
 ``detections.csv`` and ``corrections.csv`` artifacts are pinned too,
 recorded before the verdict record was folded into ``DetectionVerdict``.
+Every field of every ``EpisodeRecord`` is pinned as well, over the bundled
+scenarios and the hostile seeds in both modes, recorded before the per-alert
+correction bookkeeping was folded into single passes.
 """
 
 import hashlib
@@ -140,6 +143,11 @@ CSV_DIGESTS = {
     ),
 }
 
+# sha256 of ``repr(episode_fields(ep))`` for every episode of the bundled
+# scenarios in sorted order, then the hostile ``SEEDS`` of test_invariants,
+# each run in dynamic then static mode
+EPISODES_DIGEST = "45ef1686fc0d875c5a74824a7327fd29203b45fe519dcb0166f1b3c9b625daf9"
+
 
 def trace_of(text):
     _report, log = run_scenario(parse_scenario(text))
@@ -188,3 +196,29 @@ def test_detection_and_correction_csvs_are_pinned(name, mode, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("detections.csv", "corrections.csv"))
     assert digests == CSV_DIGESTS[name, mode]
+
+
+def episode_fields(ep):
+    """Every field of one ``EpisodeRecord``, its services' books included."""
+    return (ep.window, ep.node, ep.head, ep.mode, ep.involved, ep.downtime_ticks,
+            ep.totals_before, ep.totals_after, ep.jain_before, ep.jain_after,
+            ep.outcome, ep.post_window,
+            [(svc, se.excess_before, se.moved, se.residual, se.outcome)
+             for svc, se in ep.services.items()])
+
+
+def test_episode_records_are_pinned():
+    # imported here: test_invariants imports this module at its top
+    from test_invariants import SEEDS, hostile_scenario_text
+
+    texts = [bundled_scenario_text(name) for name in sorted(BUNDLED)]
+    texts += [hostile_scenario_text(seed) for seed in SEEDS]
+    h = hashlib.sha256()
+    for text in texts:
+        for mode in ("dynamic", "static"):
+            scenario = parse_scenario(text)
+            scenario.run.mode = mode
+            _report, log = run_scenario(scenario)
+            for ep in log.episodes:
+                h.update(repr(episode_fields(ep)).encode())
+    assert h.hexdigest() == EPISODES_DIGEST
