@@ -4,7 +4,6 @@ overload detection and controller-driven load migration."""
 from .clustering import Cluster, Topology, deploy_agents, elect_head, form_clusters
 from .detection import (
     BehaviorSample,
-    DetectionAgent,
     DetectionVerdict,
     KnowledgeBase,
     build_knowledge_base,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .detection import DetectionAgent
 from .model import Status
 
 
@@ -93,14 +92,16 @@ def form_clusters(topology: Topology, energies: dict[int, int]) -> list[Cluster]
     return clusters
 
 
-def deploy_agents(sim, clusters) -> dict[int, DetectionAgent]:
+def deploy_agents(sim, clusters) -> set[int]:
     """Send one AgentDeploy per member and self-host an agent on each head.
 
-    Member agents are instantiated when the deploy message is delivered;
-    the returned dict holds the heads' self-hosted agents. A head found
-    depleted before deployment has its cluster re-formed first.
+    Member agents start when the deploy message is delivered; the returned
+    set holds the heads, whose agents run at once. A head found depleted
+    before deployment has its cluster re-formed first, and the live heads
+    of the re-formed clusters deploy in its place. An agent reports to
+    whichever head ``sim.head_of`` names, not to the deploy's sender.
     """
-    agents: dict[int, DetectionAgent] = {}
+    heads: set[int] = set()
     for cluster in list(clusters):
         head_dev = sim.devices[cluster.head]
         if head_dev.status is Status.DEPLETED:
@@ -108,12 +109,12 @@ def deploy_agents(sim, clusters) -> dict[int, DetectionAgent]:
                 sub for sub in reform_cluster(sim, cluster.head)
                 if sim.devices[sub.head].status is not Status.DEPLETED
             ]
-            agents.update(deploy_agents(sim, live))
+            heads |= deploy_agents(sim, live)
             continue
-        agents[cluster.head] = DetectionAgent(host=cluster.head, controller=cluster.head)
+        heads.add(cluster.head)
         for member in sorted(cluster.members):
             sim.send(cluster.head, member, "agent_deploy")
-    return agents
+    return heads
 
 
 def reform_cluster(sim, old_head: int) -> list[Cluster]:

@@ -6,9 +6,11 @@ observed load strictly exceeds the baseline capacity, and the energy draw is
 anomalous iff it exceeds the load-explained expectation by more than the
 configured tolerance, both decided in exact integer arithmetic. The verdict
 lists only the overloaded services; a sampled service it does not list is
-normal. Agents alert their cluster-head controller on any non-normal verdict
-and otherwise file periodic reports. The verdict is also the run's record of
-the node-window: ``RunLog.verdicts`` holds the verdicts themselves.
+normal. Agents alert their cluster head on any non-normal verdict and
+otherwise file periodic reports; the head is the one the kernel's routing
+registry, ``Simulation.head_of``, names at the time of the report. The
+verdict is also the run's record of the node-window: ``RunLog.verdicts``
+holds the verdicts themselves.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import EnergySpec, Service, SimulationError, Status
-from .simkernel import Unreachable
+from .model import EnergySpec, Service, SimulationError
 
 
 class UnknownNode(SimulationError):
@@ -115,12 +116,6 @@ class DetectionVerdict:
         self.alerted = bool(self.overloaded) or self.energy_anomaly is not None
 
 
-@dataclass(slots=True)
-class DetectionAgent:
-    host: int
-    controller: int
-
-
 def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
     """Derive baselines and the energy expectation from the configuration.
 
@@ -146,15 +141,15 @@ def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:
     )
 
 
-def collect(agent: DetectionAgent, window: int, observed: dict[Service, int],
+def collect(host: int, window: int, observed: dict[Service, int],
             energy_drawn: int) -> BehaviorSample:
-    """Package the window's served load and energy draw for the agent's host.
+    """Package the window's served load and energy draw for ``host``.
 
     ``observed`` becomes the sample's own field, not a copy: it is the
     node-window's one served dict, which no holder mutates in place.
     """
     return BehaviorSample(
-        node=agent.host, window=window, observed=observed, energy_drawn=energy_drawn
+        node=host, window=window, observed=observed, energy_drawn=energy_drawn
     )
 
 
@@ -185,24 +180,22 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     )
 
 
-def report_alert(agent: DetectionAgent, verdict: DetectionVerdict,
+def report_alert(host: int, verdict: DetectionVerdict,
                  sample: BehaviorSample, sim, report_every: int = 1) -> str:
-    """Send the window's verdict to the agent's controller.
+    """Send the window's verdict from ``host`` to its cluster head.
 
     Non-normal verdicts always go out as an alert; all-normal windows send a
-    periodic report every ``report_every`` windows. Returns which message
-    kind left ("alert", "report", or "none"). Raises Unreachable when the
-    controller is depleted, which the caller resolves by re-forming the
-    cluster; the standing overload re-alerts at the next boundary.
+    periodic report every ``report_every`` windows. The head is
+    ``sim.head_of[host]``, the routing registry, which re-formation keeps
+    pointing at a live head; a head reports to itself without the radio.
+    Returns which message kind left ("alert", "report", or "none").
     """
     if not verdict.alerted and verdict.window % report_every != 0:
         return "none"
     kind = "alert" if verdict.alerted else "report"
-    if agent.controller == agent.host:
-        sim.local_deliver(agent.host, kind, (verdict, sample))
+    head = sim.head_of[host]
+    if head == host:
+        sim.local_deliver(host, kind, (verdict, sample))
     else:
-        controller_dev = sim.devices.get(agent.controller)
-        if controller_dev is None or controller_dev.status is Status.DEPLETED:
-            raise Unreachable(f"controller {agent.controller} is depleted")
-        sim.send(agent.host, agent.controller, kind, (verdict, sample))
+        sim.send(host, head, kind, (verdict, sample))
     return kind

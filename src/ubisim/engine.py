@@ -2,7 +2,10 @@
 agent/controller protocol, and emit the output artifacts.
 
 Per window each live agent samples its host, compares against the knowledge
-base, and reports (alerting on any overload). Alerts reach the cluster-head
+base, and reports (alerting on any overload) to the head the kernel's routing
+registry, ``Simulation.head_of``, names; the engine keeps no copy of it. When
+a head depletes, its running members are re-clustered at once, so the
+registry names a live head for every live node. Alerts reach the cluster-head
 controller one latency tick later. An agent alerts at most once a window,
 so the controller plans at most one reconfiguration per alerting node per
 window; it applies it in the configured mode, and the episode is judged
@@ -31,7 +34,6 @@ from pathlib import Path
 from . import metrics
 from .clustering import deploy_agents, form_clusters, reform_cluster
 from .detection import (
-    DetectionAgent,
     DetectionVerdict,
     build_knowledge_base,
     collect,
@@ -51,7 +53,7 @@ from .reconfig import (
     service_outcome,
 )
 from .scenario import Scenario
-from .simkernel import RunLog, Simulation, Unreachable, WindowBoundary
+from .simkernel import RunLog, Simulation, WindowBoundary
 
 
 @dataclass(slots=True)
@@ -148,7 +150,7 @@ class Engine:
         self.sim.install_clusters(clusters)
         self.kb = build_knowledge_base(scenario, capacities, clusters)
         self.controllers = {c.head: _controller(c.head, c.nodes, self.kb) for c in clusters}
-        self.agents: dict[int, DetectionAgent] = deploy_agents(self.sim, clusters)
+        self.agents: set[int] = deploy_agents(self.sim, clusters)
         self.pending: dict[int, list[EpisodeRecord]] = {}
         for k in range(run.ticks // run.window):
             self.sim.schedule((k + 1) * run.window, WindowBoundary(k))
@@ -173,10 +175,9 @@ class Engine:
         verdicts = {}
         normal = f"window={window} normal"
         for host in sorted(self.agents):
-            agent = self.agents[host]
             if sim.devices[host].status is Status.DEPLETED:
                 continue
-            sample = collect(agent, window, sim.served_snapshot[host], sim.window_acc[host])
+            sample = collect(host, window, sim.served_snapshot[host], sim.window_acc[host])
             verdict = control_compare(sample, self.kb)
             samples[host] = sample
             verdicts[host] = verdict
@@ -193,13 +194,8 @@ class Engine:
             sim.emit(sim.clock, host, "verdict", f"window={window} overload {detail}")
         self._resolve_pending(window, samples)
         for host, verdict in verdicts.items():  # filled in host order
-            agent = self.agents[host]
-            try:
-                report_alert(agent, verdict, samples[host], sim,
-                             report_every=self.scenario.run.report_every)
-            except Unreachable:
-                sim.emit(sim.clock, host, "unreachable", f"controller={agent.controller}")
-                self._reform(agent.controller)
+            report_alert(host, verdict, samples[host], sim,
+                         report_every=self.scenario.run.report_every)
 
     def _resolve_pending(self, window: int, samples) -> None:
         for node in sorted(self.pending.keys() & samples.keys()):
@@ -220,7 +216,7 @@ class Engine:
     def _on_message(self, msg) -> None:
         kind = msg.kind
         if kind == "agent_deploy":
-            self.agents[msg.receiver] = DetectionAgent(host=msg.receiver, controller=msg.sender)
+            self.agents.add(msg.receiver)
             return
         if kind == "reconfigure":
             return  # notification only; the kernel already billed the radio
@@ -325,15 +321,9 @@ class Engine:
         new_clusters = reform_cluster(self.sim, old_head)
         self.controllers.pop(old_head, None)
         for cluster in new_clusters:
-            head_dev = self.sim.devices[cluster.head]
-            if head_dev.status is Status.DEPLETED:
-                continue
-            self.controllers[cluster.head] = _controller(cluster.head, cluster.nodes, self.kb)
-            self.agents.setdefault(cluster.head, DetectionAgent(cluster.head, cluster.head))
-            for n in cluster.nodes:
-                agent = self.agents.get(n)
-                if agent is not None:
-                    agent.controller = cluster.head
+            if self.sim.devices[cluster.head].status is not Status.DEPLETED:
+                self.controllers[cluster.head] = _controller(cluster.head, cluster.nodes, self.kb)
+                self.agents.add(cluster.head)
 
 
 def run_scenario(scenario: Scenario, out_dir=None):

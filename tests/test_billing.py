@@ -208,7 +208,7 @@ def test_hostile_seeds_keep_their_ledgers():
         h.update(repr(sorted(log.final_energy.items())).encode())
         h.update(repr(sorted(log.window_energy.items())).encode())
         h.update(repr(log.total_debited).encode())
-    assert h.hexdigest() == "1ce4cac67a30d65f665519335f08ef9ae930a514e366bf92a78c6c8697eeff31"
+    assert h.hexdigest() == "8e6d68466546abdd59e3a39c311b98086d6c0be69648606e21a765821916c022"
 
 
 def test_energy_reads_settle_through_the_tick_before_the_clock():

@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +164,13 @@ class TestRepro:
         monkeypatch.setitem(cli.REFERENCE_CAPACITY, "Scan", 9)
         assert main(["repro", "--table", "2"]) == cli.EXIT_MISMATCH
         assert "mismatch: Scan" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's one Python block, run as written from an unrelated directory
+    readme = (Path(cli.__file__).parents[2] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "5 5\n"
+    assert (tmp_path / "out" / "trace.log").exists()

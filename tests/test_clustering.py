@@ -172,9 +172,7 @@ class TestDeployAgents:
         sim = star_sim(3)
         clusters = [Cluster(head=0, members=frozenset({1, 2}))]
         sim.install_clusters(clusters)
-        agents = deploy_agents(sim, clusters)
-        assert set(agents) == {0}  # head self-hosts immediately
-        assert agents[0].controller == 0
+        assert deploy_agents(sim, clusters) == {0}  # head self-hosts immediately
         sends = [l for l in sim.log.lines if l.split()[3] == "send"]
         assert len(sends) == 2
         assert all("kind=agent_deploy" in l for l in sends)
@@ -184,8 +182,7 @@ class TestDeployAgents:
         sim = Simulation([dev], EnergySpec())
         clusters = [Cluster(head=5)]
         sim.install_clusters(clusters)
-        agents = deploy_agents(sim, clusters)
-        assert agents[5].host == agents[5].controller == 5
+        assert deploy_agents(sim, clusters) == {5}
         assert not any(l.split()[3] == "send" for l in sim.log.lines)
 
     def test_depleted_head_triggers_reformation(self):
@@ -195,9 +192,8 @@ class TestDeployAgents:
         # members 1 and 2 are not adjacent, so each becomes its own cluster
         clusters = [Cluster(head=0, members=frozenset({1, 2}))]
         sim.install_clusters(clusters)
-        agents = deploy_agents(sim, clusters)
-        heads = {h for h in agents if sim.devices[h].status is Status.RUNNING}
-        assert heads == {1, 2}
+        assert deploy_agents(sim, clusters) == {1, 2}
+        assert sim.head_of == {0: 0, 1: 1, 2: 2}
 
 
 class TestReformCluster:

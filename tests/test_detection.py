@@ -7,7 +7,6 @@ import pytest
 from ubisim.clustering import form_clusters
 from ubisim.detection import (
     BehaviorSample,
-    DetectionAgent,
     DetectionVerdict,
     EnergyAnomaly,
     KnowledgeBase,
@@ -19,7 +18,7 @@ from ubisim.detection import (
     report_alert,
 )
 from ubisim.engine import Engine, run_scenario
-from ubisim.model import EnergySpec
+from ubisim.model import EnergySpec, Status
 from ubisim.scenario import MissingCapacity, parse_scenario
 
 from ubisim.cli import load_bundled_scenario
@@ -93,8 +92,8 @@ class TestBuildKnowledgeBase:
 
 class TestCollect:
     def test_packages_served_window(self):
-        agent = DetectionAgent(host=1, controller=0)
-        sample = collect(agent, 1, {"Print": 50}, 262)
+        sample = collect(1, 1, {"Print": 50}, 262)
+        assert sample.node == 1 and sample.window == 1
         assert sample.observed == {"Print": 50}
         assert sample.energy_drawn == 262
 
@@ -360,11 +359,10 @@ class TestReportAlert:
         engine = self._engine()
         sim = engine.sim
         sim.run_until(11)  # deploys delivered; window 0 not closed yet
-        agent = engine.agents[1]
         kb = engine.kb
         sample = sample_for(TABLE_OVERLOADS, kb=kb)
         verdict = control_compare(sample, kb)
-        kind = report_alert(agent, verdict, sample, sim)
+        kind = report_alert(1, verdict, sample, sim)
         assert kind == "alert"
         assert len(verdict.overloaded) == 5  # one alert carrying all five
         assert any(
@@ -375,42 +373,49 @@ class TestReportAlert:
         engine = self._engine()
         sim = engine.sim
         sim.run_until(11)
-        agent = engine.agents[1]
         kb = engine.kb
         sample = sample_for({s: 0 for s in TABLE_BASELINES}, kb=kb, window=2)
         verdict = control_compare(sample, kb)
-        assert report_alert(agent, verdict, sample, sim, report_every=1) == "report"
+        assert report_alert(1, verdict, sample, sim, report_every=1) == "report"
         # off-cycle quiet window stays silent
         sample3 = sample_for({s: 0 for s in TABLE_BASELINES}, kb=kb, window=3)
         verdict3 = control_compare(sample3, kb)
-        assert report_alert(agent, verdict3, sample3, sim, report_every=2) == "none"
+        assert report_alert(1, verdict3, sample3, sim, report_every=2) == "none"
 
-    def test_depleted_controller_unreachable(self):
-        from ubisim.model import Status
-        from ubisim.simkernel import Unreachable
-
-        engine = self._engine()
+    def test_reports_go_to_the_head_the_registry_names(self):
+        # head 0 of a triangle depletes; its members 1 and 2 are adjacent,
+        # so they re-cluster under 1 (equal energy, lowest id)
+        engine = Engine(parse_scenario(
+            "[services]\nname=Print capacity=34\n"
+            "[nodes]\nid=0\nid=1\nid=2\n"
+            "[edges]\na=0 b=1\na=0 b=2\na=1 b=2\n"
+            "[run]\nticks=40 window=10\n"
+        ))
         sim = engine.sim
         sim.run_until(11)
+        assert sim.head_of[2] == 0
         sim.devices[0].energy_mj = 0
-        sim.devices[0].status = Status.DEPLETED  # head dies, no rebind yet
-        agent = engine.agents[1]
+        sim.devices[0].status = Status.DEPLETED
+        engine._on_depleted(0)  # the kernel's depletion hook
+        assert sim.head_of[2] == sim.head_of[1] == 1
         kb = engine.kb
-        sample = sample_for(TABLE_OVERLOADS, kb=kb)
-        verdict = control_compare(sample, kb)
-        with pytest.raises(Unreachable):
-            report_alert(agent, verdict, sample, sim)
+        sample = sample_for({"Print": 50}, node=2, kb=kb)
+        assert report_alert(2, control_compare(sample, kb), sample, sim) == "alert"
+        assert sim.log.lines[-1].split()[3:] == ["send", "to=1", "kind=alert"]
+        sample = sample_for({"Print": 50}, node=1, kb=kb)
+        first = len(sim.log.lines)
+        assert report_alert(1, control_compare(sample, kb), sample, sim) == "alert"
+        assert sim.log.lines[first].split()[3:] == ["local", "kind=alert"]
 
     def test_head_agent_reports_locally(self):
         engine = self._engine()
         sim = engine.sim
-        agent = engine.agents[0]
         kb = engine.kb
         sample = sample_for({s: 0 for s in TABLE_BASELINES}, node=0, kb=kb)
         sample.energy_drawn = kb.expected_energy(0, sample.observed)
         verdict = control_compare(sample, kb)
         sends_before = sum(1 for l in sim.log.lines if l.split()[3] == "send")
-        assert report_alert(agent, verdict, sample, sim) == "report"
+        assert report_alert(0, verdict, sample, sim) == "report"
         sends_after = sum(1 for l in sim.log.lines if l.split()[3] == "send")
         assert sends_after == sends_before  # no radio traffic for self-reports
 

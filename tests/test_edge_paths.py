@@ -109,22 +109,32 @@ class TestDirectiveDegradation:
 
 
 class TestHeadLostWithoutRebind:
-    def test_boundary_reporting_survives_silent_head_loss(self):
+    def test_reports_to_a_silently_lost_head_are_dead_lettered(self):
         # a head that vanishes without the depletion hook firing (e.g. a
-        # crash) is discovered at reporting time and the cluster re-forms
+        # crash) is not re-formed: the registry still names it, so its
+        # members' reports go out to it and are dead-lettered on arrival
         from ubisim.cli import load_bundled_scenario
         from ubisim.engine import Engine
+        from test_invariants import in_flight
 
         engine = Engine(load_bundled_scenario())
         sim = engine.sim
         sim.run_until(15)
+        lost = sim.energy(0)
         sim.devices[0].energy_mj = 0
         sim.devices[0].status = Status.DEPLETED
         log = sim.run_until(40)
-        assert any(l.split()[3] == "unreachable" for l in log.lines)
-        assert len(log.cluster_records) > 1  # re-formed
-        survivors = [n for n, d in sim.devices.items() if d.status is Status.RUNNING]
-        assert all(sim.head_of[n] != 0 for n in survivors)
+        assert log.windows_completed == 4
+        later = [l.split() for l in log.lines if int(l.split()[0]) >= 15]
+        sends = [l for l in later if l[3] == "send"]
+        assert len(sends) == 15 and all(l[4] == "to=0" for l in sends)
+        assert log.dead_letters == 10
+        assert len(sends) == log.dead_letters + in_flight(log, 1, 40)
+        assert not any(l[3] in ("plan", "cluster") for l in later)
+        assert len(log.cluster_records) == 1
+        assert all(sim.head_of[n] == 0 for n in sim.devices)
+        consumed = sum(log.initial_energy[n] - log.final_energy[n] for n in log.initial_energy)
+        assert consumed == log.total_debited + lost
 
 
 PARSER_ERRORS = [

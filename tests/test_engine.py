@@ -1,6 +1,7 @@
 """End-to-end protocol paths: re-formation on head death, deferred plans,
 energy-anomaly alerts, lossy-radio robustness, and a finished run's memory."""
 
+import ast
 import dataclasses
 import gc
 
@@ -16,7 +17,8 @@ from ubisim.reconfig import Outcome
 from ubisim.scenario import InjectItem, WorkloadItem, parse_scenario
 from ubisim.simkernel import Simulation
 
-from test_invariants import UNREACHABLE_SEEDS, hostile_scenario_text
+from test_invariants import REROUTED_SEEDS, hostile_scenario_text
+from test_stdlib_only import PACKAGE, parse_all
 from test_trace_digests import BUNDLED
 
 # Node 0 wins the election (500 > 499) and burns out serving its own
@@ -61,7 +63,7 @@ class TestHeadDepletionReformation:
         # cluster re-formed: survivors 1 and 2 under head 1, dead singleton 0
         assert len(log.cluster_records) >= 3
         assert sim.head_of[2] == 1 and sim.head_of[1] == 1
-        assert engine.agents[2].controller == 1
+        assert 2 in engine.agents and sim.head_of[2] == 1
         # the overload injected after the re-formation is still corrected
         (episode,) = log.episodes
         assert episode.head == 1 and episode.node == 2
@@ -76,11 +78,9 @@ class TestHeadDepletionReformation:
         running = {
             n for n, d in engine.sim.devices.items() if d.status is Status.RUNNING
         }
-        assert running <= set(engine.agents)
+        assert running
         for n in running:
-            agent = engine.agents[n]
-            assert agent.host == n
-            assert agent.controller == engine.sim.head_of[n]
+            assert n in engine.agents and engine.sim.head_of[n] == 1
 
 
 class TestOneOwnerPerFact:
@@ -280,7 +280,7 @@ class TestCollectorPause:
     simkernel.Event, simkernel.WindowBoundary, WorkloadItem, InjectItem,
     simkernel.Resume, simkernel.Message, simkernel.InjectionRecord,
     model.Activity, detection.Overload, detection.EnergyAnomaly, detection.BehaviorSample,
-    detection.DetectionAgent, detection.DetectionVerdict,
+    detection.DetectionVerdict,
 ], ids=lambda cls: cls.__name__)
 def test_per_node_window_records_have_slots(record):
     # made once per event or node-window: no per-instance __dict__
@@ -306,8 +306,9 @@ def test_migration_directive_stays_frozen_and_hashable():
 
 
 # Seeds 0-59 of the hostile generator re-form clusters and defer plans on
-# stale views; the unreachable seeds also report to a depleted controller.
-GARBAGE_SEEDS = [*range(60), *UNREACHABLE_SEEDS]
+# stale views; in the rerouted seeds a member's head depletes before the
+# head's agent deploy reaches it.
+GARBAGE_SEEDS = [*range(60), *REROUTED_SEEDS]
 GARBAGE_TEXTS = {name: bundled_scenario_text(name) for name in sorted(BUNDLED)}
 GARBAGE_TEXTS.update((f"hostile-{seed}", hostile_scenario_text(seed)) for seed in GARBAGE_SEEDS)
 
@@ -336,14 +337,31 @@ def test_finished_run_leaves_no_cyclic_garbage(name, mode):
         gc.unfreeze()
 
 
-def test_garbage_runs_reach_reformation_defer_and_unreachable():
+def emitted_kinds():
+    """The kind argument of every ``emit`` call in the package; None for one
+    that is not a string literal, which the guard cannot follow."""
     kinds = set()
+    for tree in parse_all(sorted(PACKAGE.rglob("*.py"))).values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                kind = node.args[2]
+                kinds.add(kind.value if isinstance(kind, ast.Constant) else None)
+    return kinds
+
+
+def test_garbage_runs_write_every_trace_kind_and_re_form():
+    # a kind no run writes is a dead path; a cluster line after a depleted
+    # line is a re-formation
+    emitted = emitted_kinds()
+    assert None not in emitted and {"cluster", "depleted", "plan"} <= emitted
+    written, reformed = set(), False
     for name in GARBAGE_TEXTS:
         for mode in ("dynamic", "static"):
             _report, log = run_scenario(garbage_scenario(name, mode))
             line_kinds = [line.split()[3] for line in log.lines]
-            first_other = next(i for i, k in enumerate(line_kinds) if k != "cluster")
-            if "cluster" in line_kinds[first_other:]:
-                kinds.add("reformation")
-            kinds.update(line_kinds)
-    assert {"reformation", "defer", "unreachable"} <= kinds
+            written.update(line_kinds)
+            if "depleted" in line_kinds:
+                reformed |= "cluster" in line_kinds[line_kinds.index("depleted"):]
+    assert emitted - written == set()
+    assert reformed

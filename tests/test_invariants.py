@@ -5,7 +5,10 @@ latency up to 20 (often above the window), drop rates up to 1.0, batteries
 from 0 mJ with idle draw that can exceed them, horizons that are not a
 multiple of the window, ``quiesce_ticks=0`` and ``staleness_max=0``, in both
 modes. Every run must finish and keep the energy ledger, per-service load
-in dynamic plans, demand and the message count exact.
+in dynamic plans, demand and the message count exact. At every boundary the
+routing registry names a live head for every live node, which is where its
+agent reports, and a node that depletes is installed as a head at most once
+after, as a singleton.
 
 A node-window's served dict is one object shared by the sample, the
 controller's view and ``RunLog.window_served``; the overloads every verdict
@@ -27,10 +30,11 @@ from ubisim.simkernel import Simulation
 
 from test_trace_digests import BUNDLED
 
-# 848, 1380 and 2251 are the first seeds past 299 whose agents report to a
-# depleted controller (the ``unreachable`` path of ``Engine._on_boundary``)
-UNREACHABLE_SEEDS = [848, 1380, 2251]
-SEEDS = [*range(300), *UNREACHABLE_SEEDS]
+# 848, 1380 and 2251 are the first seeds past 299 in which a head depletes
+# while its agent deploy to a member is in flight; the member, re-clustered
+# under a new head, must report there and not to the sender of the deploy
+REROUTED_SEEDS = [848, 1380, 2251]
+SEEDS = [*range(300), *REROUTED_SEEDS]
 
 
 def hostile_scenario_text(seed):
@@ -89,14 +93,17 @@ def in_flight(log, latency, horizon):
 
 
 def observed_run(scenario, monkeypatch):
-    """``run_scenario`` with its engine kept and the radio counted.
+    """``run_scenario`` with its engine kept, the radio counted and each
+    boundary's stray heads listed.
 
     A ``Simulation.send`` that returns has transmitted (and possibly dropped)
     one message; every message that reaches the engine's hook over the air
-    was received.
+    was received. A stray head is a depleted node that ``sim.head_of`` names
+    for a live node when a boundary's agents are about to report.
     """
-    engines, radio = [], {"tx": 0, "rx": 0}
+    engines, radio, strays = [], {"tx": 0, "rx": 0}, []
     send, on_message, run = Simulation.send, Engine._on_message, Engine.run
+    on_boundary = Engine._on_boundary
 
     def counting_send(self, *args):
         send(self, *args)
@@ -111,11 +118,34 @@ def observed_run(scenario, monkeypatch):
         engines.append(self)
         return run(self)
 
+    def checking_on_boundary(self, window):
+        devices, head_of = self.sim.devices, self.sim.head_of
+        strays.extend((window, n, head_of[n]) for n, dev in devices.items()
+                      if dev.status is not Status.DEPLETED
+                      and devices[head_of[n]].status is Status.DEPLETED)
+        on_boundary(self, window)
+
     monkeypatch.setattr(Simulation, "send", counting_send)
     monkeypatch.setattr(Engine, "_on_message", counting_on_message)
     monkeypatch.setattr(Engine, "run", keeping_run)
+    monkeypatch.setattr(Engine, "_on_boundary", checking_on_boundary)
     report, log = run_scenario(scenario)
-    return engines[0], report, log, radio
+    return engines[0], report, log, radio, strays
+
+
+def heads_installed_after_depletion(log):
+    """Per node with a ``depleted`` line: the member lists of each cluster
+    installed with it as head after that line."""
+    installed = {}
+    for line in log.lines:
+        _tick, _seq, target, kind, *details = line.split()
+        if kind == "depleted":
+            installed[int(target)] = []
+        elif kind == "cluster":
+            head, members = (d.split("=")[1] for d in details)
+            if int(head) in installed:
+                installed[int(head)].append(members)
+    return installed
 
 
 def assert_overloads_match_served(log):
@@ -155,7 +185,7 @@ def assert_correction_bookkeeping(engine, log):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostile_run_keeps_invariants(seed, monkeypatch):
     scenario = parse_scenario(hostile_scenario_text(seed))
-    engine, _report, log, radio = observed_run(scenario, monkeypatch)
+    engine, _report, log, radio, strays = observed_run(scenario, monkeypatch)
 
     consumed = sum(log.initial_energy[n] - log.final_energy[n] for n in log.initial_energy)
     assert consumed == log.total_debited
@@ -173,6 +203,10 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
     run = scenario.run
     queued = in_flight(log, run.latency, run.ticks)
     assert radio["tx"] == radio["rx"] + log.drops + log.dead_letters + queued
+
+    assert strays == []
+    for node, installs in heads_installed_after_depletion(log).items():
+        assert installs in ([], [""]), (node, installs)
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "static"])
@@ -201,12 +235,20 @@ def test_one_episode_per_alerting_node_window(mode):
     assert planned
 
 
-def test_unreachable_seeds_report_to_a_depleted_controller():
-    kinds = set()
-    for seed in UNREACHABLE_SEEDS:
-        _report, log = run_scenario(parse_scenario(hostile_scenario_text(seed)))
-        kinds.update(line.split()[3] for line in log.lines)
-    assert "unreachable" in kinds
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_rerouted_seeds_plan_at_the_live_head(mode):
+    # 848: node 4 heads itself after head 1 depletes and 1's agent deploy to
+    # it arrives late; its window-4 overload is planned all the same. 2251:
+    # node 1's window-5 overload is planned where it now reports
+    plans = {}
+    for seed in (848, 2251):
+        scenario = parse_scenario(hostile_scenario_text(seed))
+        scenario.run.mode = mode
+        _report, log = run_scenario(scenario)
+        plans[seed] = [line.split(" ", 4)[4] for line in log.lines
+                       if line.split()[3] == "plan"]
+    assert any(p.startswith("node=4 window=4 ") for p in plans[848])
+    assert any(p.startswith("node=1 window=5 ") for p in plans[2251])
 
 
 def test_space_reaches_the_hostile_settings():
