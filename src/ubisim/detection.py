@@ -4,13 +4,14 @@ Per-node agents capture one BehaviorSample per measurement window and a pure
 comparison turns it into a DetectionVerdict: a service is overloaded iff its
 observed load strictly exceeds the baseline capacity, and the energy draw is
 anomalous iff it exceeds the load-explained expectation by more than the
-configured tolerance, both decided in exact integer arithmetic. The verdict
-lists only the overloaded services; a sampled service it does not list is
-normal. Agents alert their cluster head on any non-normal verdict and
-otherwise file periodic reports; the head is the one the kernel's routing
-registry, ``Simulation.head_of``, names at the time of the report. The
-verdict is also the run's record of the node-window: ``RunLog.verdicts``
-holds the verdicts themselves.
+configured tolerance, both decided in exact integer arithmetic and in one
+pass over the served load, which sums the expectation as it compares each
+service with its baseline. The verdict lists only the overloaded services;
+a sampled service it does not list is normal. Agents alert their cluster
+head on any non-normal verdict and otherwise file periodic reports; the head
+is the one the kernel's routing registry, ``Simulation.head_of``, names at
+the time of the report. The verdict is also the run's record of the
+node-window: ``RunLog.verdicts`` holds the verdicts themselves.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class KnowledgeBase:
     ``capacities`` maps each node to its normal requests-per-window capacity
     per service. An Engine passes the per-node dicts of
     ``Scenario.capacities()``, which the devices and the controllers' views
-    hold too; nothing mutates them. Expected energy for a window is linear in
-    the served load: window ticks of idle cost, the per-request cost of
-    everything served, plus a fixed per-window allowance for the node's
-    routine protocol messages (reports out of members, reports/directives
-    through heads).
+    hold too; nothing mutates them. Expected energy for a window, which
+    ``control_compare`` sums, is linear in the served load: window ticks of
+    idle cost, the per-request cost of everything served, plus a fixed
+    per-window allowance for the node's routine protocol messages (reports
+    out of members, reports/directives through heads).
 
     ``params`` is the scenario's ``energy`` itself, which the kernel bills
     from too. ``energy_tolerance`` is read once, at construction, into the
@@ -76,13 +77,6 @@ class KnowledgeBase:
 
     def baseline_for(self, node: int, service: Service) -> int:
         return self.capacities[node][service]
-
-    def expected_energy(self, node: int, served: dict[Service, int]) -> int:
-        cost, default = self.params.request.get, self.params.request_default
-        expected = self._idle_per_window
-        for svc, count in served.items():
-            expected += cost(svc, default) * count
-        return expected + self.msg_budget.get(node, 0)
 
 
 @dataclass(slots=True)
@@ -148,9 +142,7 @@ def collect(host: int, window: int, observed: dict[Service, int],
     ``observed`` becomes the sample's own field, not a copy: it is the
     node-window's one served dict, which no holder mutates in place.
     """
-    return BehaviorSample(
-        node=host, window=window, observed=observed, energy_drawn=energy_drawn
-    )
+    return BehaviorSample(host, window, observed, energy_drawn)
 
 
 def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdict:
@@ -159,25 +151,28 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     Overload is strict: observed must exceed the baseline by at least one
     request. The energy check is separate and multiplicative: the draw is
     anomalous iff it exceeds ``expected * (1 + tolerance)``, compared in
-    integers, so a draw exactly at that limit is normal.
+    integers, so a draw exactly at that limit is normal. One walk over the
+    served dict decides each service's overload and sums the expected
+    energy.
     """
-    caps = kb.capacities.get(sample.node)
+    node = sample.node
+    caps = kb.capacities.get(node)
     if caps is None:
-        raise UnknownNode(f"no baselines for node {sample.node}")
+        raise UnknownNode(f"no baselines for node {node}")
+    params = kb.params
+    cost, default = params.request.get, params.request_default
+    expected = kb._idle_per_window + kb.msg_budget.get(node, 0)
     overloaded: dict[Service, Overload] = {}
     for svc, observed in sample.observed.items():
         base = caps[svc]
         if observed > base:
             overloaded[svc] = Overload(observed, base)
-    expected = kb.expected_energy(sample.node, sample.observed)
+        expected += cost(svc, default) * observed
     anomaly = None
-    den = kb._tol_den
-    if sample.energy_drawn * den > expected * (den + kb._tol_num):
-        anomaly = EnergyAnomaly(drawn=sample.energy_drawn, expected=expected)
-    return DetectionVerdict(
-        node=sample.node, window=sample.window, overloaded=overloaded,
-        energy_anomaly=anomaly,
-    )
+    drawn, den = sample.energy_drawn, kb._tol_den
+    if drawn * den > expected * (den + kb._tol_num):
+        anomaly = EnergyAnomaly(drawn=drawn, expected=expected)
+    return DetectionVerdict(node, sample.window, overloaded, anomaly)
 
 
 def report_alert(host: int, verdict: DetectionVerdict,

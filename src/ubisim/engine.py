@@ -170,20 +170,23 @@ class Engine:
     # -- boundary processing --
 
     def _on_boundary(self, window: int) -> None:
-        sim = self.sim
+        sim, kb = self.sim, self.kb
+        devices, served, drawn = sim.devices, sim.served_snapshot, sim.window_acc
+        emit, record, clock = sim.emit, sim.log.verdicts.append, sim.clock
+        depleted = Status.DEPLETED
         samples = {}
         verdicts = {}
         normal = f"window={window} normal"
         for host in sorted(self.agents):
-            if sim.devices[host].status is Status.DEPLETED:
+            if devices[host].status is depleted:
                 continue
-            sample = collect(host, window, sim.served_snapshot[host], sim.window_acc[host])
-            verdict = control_compare(sample, self.kb)
+            sample = collect(host, window, served[host], drawn[host])
+            verdict = control_compare(sample, kb)
             samples[host] = sample
             verdicts[host] = verdict
-            sim.log.verdicts.append(verdict)
+            record(verdict)
             if not verdict.alerted:
-                sim.emit(sim.clock, host, "verdict", normal)
+                emit(clock, host, "verdict", normal)
                 continue
             detail = " ".join(
                 f"{svc}={o.observed}/{o.baseline}" for svc, o in verdict.overloaded.items()
@@ -191,11 +194,12 @@ class Engine:
             if verdict.energy_anomaly is not None:
                 a = verdict.energy_anomaly
                 detail = (detail + f" energy={a.drawn}/{a.expected}").strip()
-            sim.emit(sim.clock, host, "verdict", f"window={window} overload {detail}")
-        self._resolve_pending(window, samples)
+            emit(clock, host, "verdict", f"window={window} overload {detail}")
+        if self.pending:
+            self._resolve_pending(window, samples)
+        report_every = self.scenario.run.report_every
         for host, verdict in verdicts.items():  # filled in host order
-            report_alert(host, verdict, samples[host], sim,
-                         report_every=self.scenario.run.report_every)
+            report_alert(host, verdict, samples[host], sim, report_every=report_every)
 
     def _resolve_pending(self, window: int, samples) -> None:
         for node in sorted(self.pending.keys() & samples.keys()):
@@ -214,13 +218,10 @@ class Engine:
     # -- message handling --
 
     def _on_message(self, msg) -> None:
+        """Reports and alerts update the head's view, alerts are planned, an
+        agent deploy starts an agent; a reconfigure only notifies."""
         kind = msg.kind
-        if kind == "agent_deploy":
-            self.agents.add(msg.receiver)
-            return
-        if kind == "reconfigure":
-            return  # notification only; the kernel already billed the radio
-        if kind in ("report", "alert"):
+        if kind == "report" or kind == "alert":
             view = self.controllers.get(msg.receiver)
             if view is None:
                 return
@@ -229,6 +230,8 @@ class Engine:
                 view.observe(sample.node, sample.observed, sample.window)
             if kind == "alert":
                 self._handle_alert(view, verdict)
+        elif kind == "agent_deploy":
+            self.agents.add(msg.receiver)
 
     def _handle_alert(self, view: ClusterView, verdict: DetectionVerdict) -> None:
         """Plan, apply and record one correction; the cluster's loads are read

@@ -12,9 +12,12 @@ seq it was scheduled with; every other line draws the next seq when it is
 written. Its target is the payload's own node: a message's receiver, the
 ``node`` of a ``[workload]`` or ``[inject]`` line (the scenario's own
 ``WorkloadItem`` or ``InjectItem``, scheduled as the payload), the node of a
-resume, and ``KERNEL`` for a window boundary. A head's own report is a
-``Message`` to itself, passed to ``on_message`` at once without the radio.
-The kernel never mutates a payload, so one ``Scenario`` can be run twice.
+resume, and ``KERNEL`` for a window boundary. ``_dispatch`` delivers a
+``Message`` itself: a live receiver owes its rx and is passed to
+``on_message``, and a missing or depleted one makes a dead letter. A head's
+own report is a ``Message`` to itself, passed to ``on_message`` at once
+without the radio. The kernel never mutates a payload, so one ``Scenario``
+can be run twice.
 
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
@@ -214,8 +217,9 @@ class Simulation:
         self.rng = random.Random(seed)
         self.clock = 0
         self.queue: list[Event] = []  # a heapq
-        self._seq = itertools.count()
+        self._next_seq = itertools.count().__next__
         self.log = RunLog()
+        self._write = self.log.lines.append
         self.demand: dict[int, dict[Service, int]] = {d.id: d.load for d in devices}
         self.clusters: dict[int, frozenset[int]] = {}  # head -> its Cluster's members
         self.head_of: dict[int, int] = {}
@@ -251,11 +255,11 @@ class Simulation:
              seq: Optional[int] = None) -> None:
         """Append one trace line; a dispatched event passes its own ``seq``."""
         if seq is None:
-            seq = next(self._seq)
+            seq = self._next_seq()
         if details:
-            self.log.lines.append(f"{tick} {seq} {target} {kind} {details}")
+            self._write(f"{tick} {seq} {target} {kind} {details}")
         else:
-            self.log.lines.append(f"{tick} {seq} {target} {kind}")
+            self._write(f"{tick} {seq} {target} {kind}")
 
     # -- scheduling and stepping --
 
@@ -264,7 +268,7 @@ class Simulation:
         payload names the node its trace line is written under."""
         if time < self.clock:
             raise PastEvent(f"cannot schedule at t={time}, clock is {self.clock}")
-        ev = Event(time, next(self._seq), payload)
+        ev = Event(time, self._next_seq(), payload)
         heapq.heappush(self.queue, ev)
         return ev
 
@@ -300,18 +304,18 @@ class Simulation:
         return self.head_of.get(a) == b or self.head_of.get(b) == a
 
     def send(self, sender: int, receiver: int, kind: str, payload: object = None) -> None:
-        sdev = self.devices[sender]
-        if sdev.status is Status.DEPLETED:
+        if self.devices[sender].status is Status.DEPLETED:
             raise SenderDepleted(f"node {sender} cannot send, battery depleted")
         if not self.reachable(sender, receiver):
             raise Unreachable(f"node {receiver} is not cluster-reachable from {sender}")
         self._owe(sender, 1, 0)
-        if self.drop_p > 0.0 and self.rng.random() < self.drop_p:
+        clock, drop_p = self.clock, self.drop_p
+        if drop_p > 0.0 and self.rng.random() < drop_p:
             self.log.drops += 1
-            self.emit(self.clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
+            self.emit(clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
             return
-        self.emit(self.clock, sender, "send", f"to={receiver} kind={kind}")
-        self.schedule(self.clock + self.latency, Message(sender, receiver, kind, payload))
+        self.emit(clock, sender, "send", f"to={receiver} kind={kind}")
+        self.schedule(clock + self.latency, Message(sender, receiver, kind, payload))
 
     def local_deliver(self, node: int, kind: str, payload: object = None) -> None:
         """Pass ``node``'s own report to ``on_message`` now, as a ``Message``
@@ -345,21 +349,23 @@ class Simulation:
     def _owe(self, node: int, tx: int, rx: int) -> None:
         """Add a message's radio to what ``node`` owes; queue a bill at this
         tick only once the debt could empty it before its next window end."""
-        if self.clock >= self.horizon:
+        clock, horizon = self.clock, self.horizon
+        if clock >= horizon:
             return  # never billed
         p, owed = self.params, self._owed.get(node)
         if owed is None:  # nothing owed since the last bill, which set the margin
             billed = self._billed[node]
-            end = min(self._window_last_after(billed), self.horizon)
+            end = min(self._window_last_after(billed), horizon)
             margin = self.devices[node].energy_mj - p.idle * (end - 1 - billed) - 1
             owed = self._owed[node] = [0, 0, margin]
-        if node not in self._open:
-            self._open[node] = (owed[0], owed[1])
+        opened = self._open
+        if node not in opened:
+            opened[node] = (owed[0], owed[1])
         owed[0] += tx
         owed[1] += rx
-        owed[2] -= p.tx * tx + p.rx * rx
-        if owed[2] < 0:
-            heapq.heappush(self._depletions, (self.clock, node))
+        left = owed[2] = owed[2] - p.tx * tx - p.rx * rx
+        if left < 0:
+            heapq.heappush(self._depletions, (clock, node))
 
     def energy(self, node: int) -> int:
         """The node's charge as billing every tick would leave it now.
@@ -389,11 +395,12 @@ class Simulation:
 
     def _bill(self, dev: DeviceState, act: Activity, tick: int) -> None:
         """Charge ``act`` plus the idle ticks since the last bill, through ``tick``."""
-        act.ticks = tick - self._billed[dev.id]
+        nid, billed = dev.id, self._billed
+        act.ticks = tick - billed[nid]
         debit = consume_energy(dev, act, self.params)
-        self._billed[dev.id] = tick
+        billed[nid] = tick
         self.log.total_debited += debit
-        self.window_acc[dev.id] += debit
+        self.window_acc[nid] += debit
 
     def _flush_through(self, t: int) -> None:
         """Settle every tick up to ``t`` (bounded by horizon).
@@ -438,26 +445,30 @@ class Simulation:
     def _bill_tick(self, tt: int) -> None:
         """Bill, in id order, every device that must be billed at ``tt``."""
         self._flushed_through = tt - 1
+        depletions = self._depletions
         due = set()
-        while self._depletions and self._depletions[0][0] == tt:
-            due.add(heapq.heappop(self._depletions)[1])
+        while depletions and depletions[0][0] == tt:
+            due.add(heapq.heappop(depletions)[1])
         window_last = (tt + 1) % self.window == 0
         billed = self._ids if window_last else sorted(due)
+        devices, owed, served, bill = self.devices, self._owed, self.served_snapshot, self._bill
+        depleted, running = Status.DEPLETED, Status.RUNNING
         for nid in billed:
-            dev = self.devices[nid]
-            if dev.status is Status.DEPLETED:
+            dev = devices[nid]
+            status = dev.status
+            if status is depleted:
                 continue
-            tx, rx, _left = self._owed.pop(nid, (0, 0, 0))
-            if window_last and dev.status is Status.RUNNING:
+            tx, rx, _left = owed.pop(nid, (0, 0, 0))
+            if window_last and status is running:
                 act = Activity(dict(dev.load), tx, rx)
-                self.served_snapshot[nid] = act.requests_served
+                served[nid] = act.requests_served
             else:
                 act = Activity(msgs_tx=tx, msgs_rx=rx)
                 if window_last:  # quiesced devices serve nothing
-                    self.served_snapshot[nid] = dict.fromkeys(dev.load, 0)
+                    served[nid] = dict.fromkeys(dev.load, 0)
             self._cursor = nid
-            self._bill(dev, act, tt)
-            if dev.status is Status.DEPLETED:
+            bill(dev, act, tt)
+            if dev.status is depleted:
                 self.emit(tt, nid, "depleted", "")
                 self.on_depleted(nid)
         self._cursor = None
@@ -467,11 +478,19 @@ class Simulation:
     # -- dispatch --
 
     def _dispatch(self, ev: Event) -> None:
-        """Write the event's trace line under its own seq, then apply it."""
+        """Write the event's trace line under its own seq, then apply it; a
+        message is delivered here (see the module docstring)."""
         p = ev.payload
         if isinstance(p, Message):
-            self.emit(ev.time, p.receiver, "deliver", f"from={p.sender} kind={p.kind}", ev.seq)
-            self._deliver(p)
+            time, receiver, kind = ev.time, p.receiver, p.kind
+            self.emit(time, receiver, "deliver", f"from={p.sender} kind={kind}", ev.seq)
+            dev = self.devices.get(receiver)
+            if dev is None or dev.status is Status.DEPLETED:
+                self.log.dead_letters += 1
+                self.emit(time, KERNEL, "dead_letter", f"to={receiver} kind={kind}")
+                return
+            self._owe(receiver, 0, 1)
+            self.on_message(p)
         elif isinstance(p, WorkloadItem):
             self.emit(ev.time, p.node, "arrival", f"service={p.service} n={p.n}", ev.seq)
             self._apply_arrival(p.node, p.service, p.n, injected=False)
@@ -509,15 +528,6 @@ class Simulation:
                 )
             )
 
-    def _deliver(self, msg: Message) -> None:
-        dev = self.devices.get(msg.receiver)
-        if dev is None or dev.status is Status.DEPLETED:
-            self.log.dead_letters += 1
-            self.emit(self.clock, KERNEL, "dead_letter", f"to={msg.receiver} kind={msg.kind}")
-            return
-        self._owe(msg.receiver, 0, 1)
-        self.on_message(msg)
-
     def _close_window(self, window: int) -> None:
         """Archive the window's energy and served samples; reset the accumulators.
 
@@ -526,10 +536,10 @@ class Simulation:
         next window as they stand.
         """
         window_energy, window_served = self.log.window_energy, self.log.window_served
-        served = self.served_snapshot
+        drawn, served = self.window_acc, self.served_snapshot
         for nid in self._ids:
-            window_energy[nid].append(self.window_acc[nid])
-            window_served[nid].append(served.get(nid, {}))
+            window_energy[nid].append(drawn[nid])
+            window_served[nid].append(served[nid] if nid in served else {})
         self.window_acc = dict.fromkeys(self._ids, 0)
         self.served_snapshot = {}
         self.log.windows_completed = window + 1

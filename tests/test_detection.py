@@ -48,8 +48,11 @@ def scenario_kb(scenario):
 
 def sample_for(observed, node=1, window=1, drawn=None, kb=None):
     kb = kb or simple_kb(node=node)
-    if drawn is None:
-        drawn = kb.expected_energy(node, observed)
+    if drawn is None:  # the expected draw: idle window, served requests, message budget
+        p = kb.params
+        drawn = (kb.window * p.idle
+                 + sum(p.request.get(s, p.request_default) * n for s, n in observed.items())
+                 + kb.msg_budget.get(node, 0))
     return BehaviorSample(node=node, window=window, observed=dict(observed), energy_drawn=drawn)
 
 
@@ -180,8 +183,7 @@ class TestControlCompare:
     def test_energy_anomaly_strictly_above_tolerance(self):
         kb = simple_kb({"Print": 34}, window=10, budget=0, tolerance=0.10)
         observed = {"Print": 2}
-        expected = kb.expected_energy(1, observed)  # 10 + 10 = 20
-        assert expected == 20
+        # expected: 10 idle ticks at 1 mJ and two requests at 5 mJ, 20 mJ
         ok = control_compare(sample_for(observed, drawn=22, kb=kb), kb)
         assert ok.energy_anomaly is None  # 22 == 20 * 1.1 exactly: not strict
         bad = control_compare(sample_for(observed, drawn=23, kb=kb), kb)
@@ -208,7 +210,7 @@ class TestEnergyBoundary:
     def verdict(tolerance, expected, drawn):
         # an idle window of ``expected`` ticks at 1 mJ a tick
         kb = simple_kb({"Print": 34}, window=expected, budget=0, tolerance=tolerance)
-        assert kb.expected_energy(1, {"Print": 0}) == expected
+        assert kb.window * kb.params.idle + kb.msg_budget[1] == expected
         return control_compare(sample_for({"Print": 0}, drawn=drawn, kb=kb), kb)
 
     @pytest.mark.parametrize("tolerance,expected,limit", ENERGY_LIMITS)
@@ -231,8 +233,8 @@ class TestEnergyBoundary:
             "ticks=30 window=10", "ticks=97 window=97 energy_tolerance=0.15")
         kb = Engine(parse_scenario(text)).kb
         observed = {"View": 0}
-        # 97 idle ticks plus the member's 3 mJ message allowance
-        assert kb.expected_energy(1, observed) == 100
+        # expected: 97 idle ticks plus the member's 3 mJ message allowance
+        assert (kb.window * kb.params.idle, kb.msg_budget[1]) == (97, 3)
         ok = control_compare(sample_for(observed, drawn=115, kb=kb), kb)
         assert ok.energy_anomaly is None
         bad = control_compare(sample_for(observed, drawn=116, kb=kb), kb)
@@ -412,7 +414,9 @@ class TestReportAlert:
         sim = engine.sim
         kb = engine.kb
         sample = sample_for({s: 0 for s in TABLE_BASELINES}, node=0, kb=kb)
-        sample.energy_drawn = kb.expected_energy(0, sample.observed)
+        # nothing served: the head is expected to draw its idle window and its
+        # message budget, and draws exactly that
+        assert sample.energy_drawn == kb.window * kb.params.idle + kb.msg_budget[0]
         verdict = control_compare(sample, kb)
         sends_before = sum(1 for l in sim.log.lines if l.split()[3] == "send")
         assert report_alert(0, verdict, sample, sim) == "report"

@@ -37,19 +37,31 @@ REROUTED_SEEDS = [848, 1380, 2251]
 SEEDS = [*range(300), *REROUTED_SEEDS]
 
 
-def hostile_scenario_text(seed):
+def hostile_scenario_text(seed, *, margin=False):
+    """One scenario of the hostile space. ``margin=True`` stresses the
+    margin up to which event-driven billing lets a device owe its radio:
+    every horizon ends mid-window, every battery holds one to four windows
+    of idle draw and a few messages more, and a message costs up to 9 mJ to
+    send and to receive, which a head pays for each report of its members."""
     rng = random.Random(seed)
     n_nodes = rng.randint(2, 7)
     services = [f"S{i}" for i in range(rng.randint(1, 3))]
     caps = {s: rng.randint(1, 30) for s in services}
-    window = rng.randint(1, 12)
+    window = rng.randint(2 if margin else 1, 12)
     ticks = rng.randint(window, 6 * window + 5)
+    if margin:
+        if ticks % window == 0:
+            ticks += 1
+        idle, tx, rx = rng.randint(1, 4), rng.randint(0, 9), rng.randint(1, 9)
     lines = ["[services]"]
     lines += [f"name={s} capacity={caps[s]}" for s in services]
     lines.append("[nodes]")
     for i in range(n_nodes):
-        energy = rng.choice([0, 1, rng.randint(2, 60), rng.randint(500, 5000),
-                             rng.randint(500, 5000)])
+        if margin:
+            energy = idle * window * rng.randint(1, 4) + rng.randint(0, 4 * (tx + rx))
+        else:
+            energy = rng.choice([0, 1, rng.randint(2, 60), rng.randint(500, 5000),
+                                 rng.randint(500, 5000)])
         lines.append(f"id={i} energy={energy}")
     lines.append("[edges]")
     edges = {(rng.randrange(i), i) for i in range(1, n_nodes)}
@@ -58,9 +70,10 @@ def hostile_scenario_text(seed):
         edges.add((min(a, b), max(a, b)))
     lines += [f"a={a} b={b}" for a, b in sorted(edges)]
     lines.append("[energy]")
-    idle = rng.choice([0, 1, 2, rng.randint(3, 70)])
-    lines.append(f"idle={idle} tx={rng.randint(0, 4)} rx={rng.randint(0, 3)} "
-                 f"request={rng.randint(0, 3)}")
+    if not margin:
+        idle = rng.choice([0, 1, 2, rng.randint(3, 70)])
+        tx, rx = rng.randint(0, 4), rng.randint(0, 3)
+    lines.append(f"idle={idle} tx={tx} rx={rx} request={rng.randint(0, 3)}")
     lines.append("[workload]")
     for _ in range(rng.randint(0, 6)):
         lines.append(f"at={rng.randint(0, ticks)} node={rng.randrange(n_nodes)} "

@@ -306,15 +306,17 @@ def kb_for(node, baselines, window=10):
 
 
 class TestCorrectionOutcome:
-    def _post(self, node, observed, kb):
+    def _post(self, node, observed):
+        # ``kb_for``'s expected draw: 10 idle ticks at 1 mJ, 5 mJ a request and
+        # the 100 mJ message budget
         return BehaviorSample(node=node, window=2, observed=observed,
-                              energy_drawn=kb.expected_energy(node, observed))
+                              energy_drawn=10 + 5 * sum(observed.values()) + 100)
 
     def _judge(self, observed):
         """(remaining excess, episode outcome) for node 1 overloaded 50/34."""
         kb = kb_for(1, {"S": 34})
         verdict = verdict_of(1, {"S": (50, 34)})
-        remaining = correction_outcome(self._post(1, observed, kb), kb)
+        remaining = correction_outcome(self._post(1, observed), kb)
         before = sum(o.excess for o in verdict.overloaded.values())
         return remaining, service_outcome(before, sum(remaining.values()))
 
