@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Status
+from .model import DEPLETED
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def deploy_agents(sim, clusters) -> set[int]:
     heads: set[int] = set()
     for cluster in list(clusters):
         head_dev = sim.devices[cluster.head]
-        if head_dev.status is Status.DEPLETED:
+        if head_dev.status is DEPLETED:
             live = [
                 sub for sub in reform_cluster(sim, cluster.head)
-                if sim.devices[sub.head].status is not Status.DEPLETED
+                if sim.devices[sub.head].status is not DEPLETED
             ]
             heads |= deploy_agents(sim, live)
             continue
@@ -126,7 +126,7 @@ def reform_cluster(sim, old_head: int) -> list[Cluster]:
     """
     members = sorted(sim.clusters.get(old_head, set()))
     sim.drop_cluster(old_head)
-    running = [m for m in members if sim.devices[m].status is not Status.DEPLETED]
+    running = [m for m in members if sim.devices[m].status is not DEPLETED]
     new_clusters = []
     if running:
         nodes = frozenset(running)

@@ -40,8 +40,9 @@ from .detection import (
     control_compare,
     report_alert,
 )
-from .model import DeviceState, Service, Status
+from .model import DEPLETED, DeviceState, Service
 from .reconfig import (
+    DYNAMIC,
     ClusterView,
     Mode,
     StaleView,
@@ -144,7 +145,9 @@ class Engine:
             drop_p=run.drop,
             seed=run.seed,
         )
-        self.mode = Mode(run.mode)
+        mode = Mode(run.mode)  # an unknown mode name raises here
+        self.dynamic = mode is DYNAMIC
+        self.mode = mode.value  # the name every episode records
         energies = {n.id: n.energy for n in scenario.nodes}
         clusters = form_clusters(topo, energies)
         self.sim.install_clusters(clusters)
@@ -173,12 +176,11 @@ class Engine:
         sim, kb = self.sim, self.kb
         devices, served, drawn = sim.devices, sim.served_snapshot, sim.window_acc
         emit, record, clock = sim.emit, sim.log.verdicts.append, sim.clock
-        depleted = Status.DEPLETED
         samples = {}
         verdicts = {}
         normal = f"window={window} normal"
         for host in sorted(self.agents):
-            if devices[host].status is depleted:
+            if devices[host].status is DEPLETED:
                 continue
             sample = collect(host, window, served[host], drawn[host])
             verdict = control_compare(sample, kb)
@@ -199,7 +201,7 @@ class Engine:
             self._resolve_pending(window, samples)
         report_every = self.scenario.run.report_every
         for host, verdict in verdicts.items():  # filled in host order
-            report_alert(host, verdict, samples[host], sim, report_every=report_every)
+            report_alert(host, verdict, samples[host], sim, report_every)
 
     def _resolve_pending(self, window: int, samples) -> None:
         for node in sorted(self.pending.keys() & samples.keys()):
@@ -246,7 +248,7 @@ class Engine:
             sim.emit(sim.clock, view.head, "defer", f"node={verdict.node} window={verdict.window}")
             return
         totals_before, jain_before = self._balance(view.entries, plan.residual)
-        if self.mode is Mode.DYNAMIC:
+        if self.dynamic:
             executed = apply_dynamic(plan, sim)
             downtime = 0
         else:
@@ -274,7 +276,7 @@ class Engine:
             window=verdict.window,
             node=verdict.node,
             head=plan.head,
-            mode=self.mode.value,
+            mode=self.mode,
             services=services,
             involved=tuple(sorted(involved)),
             downtime_ticks=downtime,
@@ -316,7 +318,7 @@ class Engine:
     def _on_depleted(self, node: int) -> None:
         view = self.controllers.get(self.sim.head_of.get(node))
         if view is not None and node in view.entries:
-            view.entries[node].status = Status.DEPLETED
+            view.entries[node].status = DEPLETED
         if node in self.sim.clusters:
             self._reform(node)
 
@@ -324,7 +326,7 @@ class Engine:
         new_clusters = reform_cluster(self.sim, old_head)
         self.controllers.pop(old_head, None)
         for cluster in new_clusters:
-            if self.sim.devices[cluster.head].status is not Status.DEPLETED:
+            if self.sim.devices[cluster.head].status is not DEPLETED:
                 self.controllers[cluster.head] = _controller(cluster.head, cluster.nodes, self.kb)
                 self.agents.add(cluster.head)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Service
-from .reconfig import Outcome
+from .reconfig import CORRECTED, FAILED, PARTIAL, Outcome
 from .simkernel import RunLog
 
 
@@ -151,9 +151,9 @@ def build_report(log: RunLog) -> RunReport:
         detected=det["detected"],
         detection_rate=det["rate"],
         episodes=len(log.episodes),
-        corrected=outcome_counts[Outcome.CORRECTED],
-        partial=outcome_counts[Outcome.PARTIAL],
-        failed=outcome_counts[Outcome.FAILED],
+        corrected=outcome_counts[CORRECTED],
+        partial=outcome_counts[PARTIAL],
+        failed=outcome_counts[FAILED],
         unresolved=unresolved,
         jain_pairs=jain_pairs,
         cluster_variance=energy["cluster_variance"],

@@ -12,6 +12,20 @@ section itself: ``idle`` is charged once per tick a device is powered on,
 service costs ``request[service]``, else ``request_default``. The kernel,
 the knowledge base and ``energy_delta`` all read ``Scenario.energy`` and
 none of them mutates it.
+
+Functions read enum members through module constants bound next to the
+enum: ``RUNNING``, ``QUIESCED`` and ``DEPLETED`` here, ``DYNAMIC`` and the
+``Outcome`` members in ``reconfig``. On Python 3.10 and 3.11 the enum's
+metaclass defines ``__getattr__``, so each ``Status.DEPLETED`` read inside a
+function costs 0.17 us (3.10) or 0.11-0.16 us (3.11), against 0.03 us for a
+module constant, which is also what 3.12 and 3.13 pay for the member (a
+2-CPU x86-64 VM). A run reads a member about 4.5 times per node-window. A
+class-body field default is read once and may name the member itself;
+``tests/test_stdlib_only.py`` fails on any other read through the class.
+Likewise the kernel builds its ``Event`` tuples through ``tuple.__new__``
+to skip the NamedTuple's Python-level constructor (see ``simkernel.Event``),
+and the per-event calls pass their arguments by position: a keyword-built
+``Activity`` costs about twice a positional one (0.40 us against 0.20 us).
 """
 
 from __future__ import annotations
@@ -39,6 +53,10 @@ class Status(Enum):
     RUNNING = "running"
     QUIESCED = "quiesced"
     DEPLETED = "depleted"
+
+
+# module constants, read by every function; see the module docstring
+RUNNING, QUIESCED, DEPLETED = Status.RUNNING, Status.QUIESCED, Status.DEPLETED
 
 
 @dataclass
@@ -93,7 +111,7 @@ class DeviceState:
         for svc in self.capacities:
             self.load.setdefault(svc, 0)
         if self.energy_mj == 0:
-            self.status = Status.DEPLETED
+            self.status = DEPLETED
 
 
 def apply_requests(device: DeviceState, service: Service, n: int) -> None:
@@ -105,7 +123,7 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
     """
     if n < 0:
         raise ValueError(f"request count must be non-negative, got {n}")
-    if device.status is not Status.RUNNING:
+    if device.status is not RUNNING:
         raise DeviceUnavailable(
             f"node {device.id} is {device.status.value}, cannot accept requests"
         )
@@ -132,10 +150,10 @@ def consume_energy(device: DeviceState, activity: Activity, params: EnergySpec) 
     unless the battery saturates first. A device that reaches zero charge
     transitions to DEPLETED; depletion is a state change, not an error.
     """
-    if device.status is Status.DEPLETED:
+    if device.status is DEPLETED:
         raise DeviceUnavailable(f"node {device.id} is depleted")
     debit = min(energy_delta(activity, params), device.energy_mj)
     device.energy_mj -= debit
     if device.energy_mj == 0:
-        device.status = Status.DEPLETED
+        device.status = DEPLETED
     return debit

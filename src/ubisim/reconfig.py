@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .detection import DetectionVerdict, KnowledgeBase, control_compare
-from .model import Service, SimulationError, Status
+from .model import DEPLETED, QUIESCED, RUNNING, Service, SimulationError, Status
 from .simkernel import Resume, SenderDepleted, Unreachable
 
 
@@ -29,6 +29,9 @@ class StaleView(SimulationError):
 class Mode(Enum):
     DYNAMIC = "dynamic"
     STATIC = "static"
+
+
+DYNAMIC = Mode.DYNAMIC  # a module constant; see the model module's docstring
 
 
 @dataclass
@@ -61,7 +64,7 @@ class ClusterView:
         entry = self.entries[node]
         entry.load = load
         entry.window = window
-        entry.status = Status.RUNNING
+        entry.status = RUNNING
 
     def adjust(self, service: Service, source: int, dest: int, amount: int) -> None:
         """Fold an applied directive back into the last-known loads.
@@ -119,7 +122,7 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
     node, oldest = verdict.node, verdict.window - staleness_max
     eligible = [
         e for e in view.entries.values()
-        if e.node != node and e.status is Status.RUNNING and e.load is not None
+        if e.node != node and e.status is RUNNING and e.load is not None
         and e.window >= oldest
     ]
     if not eligible and len(view.entries) > (node in view.entries):  # peers, none fresh
@@ -138,8 +141,8 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
 
 def _live(directive: MigrationDirective, sim) -> bool:
     """Neither endpoint has depleted since planning; otherwise the directive is skipped."""
-    return (sim.devices[directive.source].status is not Status.DEPLETED
-            and sim.devices[directive.dest].status is not Status.DEPLETED)
+    return (sim.devices[directive.source].status is not DEPLETED
+            and sim.devices[directive.dest].status is not DEPLETED)
 
 
 def _execute(directive: MigrationDirective, sim) -> int:
@@ -199,8 +202,8 @@ def apply_static(plan: ReconfigPlan, sim,
     involved = sorted({n for d in plan.directives if _live(d, sim) for n in (d.source, d.dest)})
     for nid in involved:
         dev = sim.devices[nid]
-        if dev.status is Status.RUNNING:
-            dev.status = Status.QUIESCED
+        if dev.status is RUNNING:
+            dev.status = QUIESCED
             sim.log.downtime[nid] = sim.log.downtime.get(nid, 0) + quiesce_ticks
             sim.emit(sim.clock, nid, "quiesce", f"ticks={quiesce_ticks}")
             sim.schedule(sim.clock + quiesce_ticks, Resume(nid))
@@ -211,6 +214,10 @@ class Outcome(Enum):
     CORRECTED = "corrected"
     PARTIAL = "partial"
     FAILED = "failed"
+
+
+# module constants; see the model module's docstring
+CORRECTED, PARTIAL, FAILED = Outcome.CORRECTED, Outcome.PARTIAL, Outcome.FAILED
 
 
 def correction_outcome(post_window_sample, kb: KnowledgeBase) -> dict[Service, int]:
@@ -231,7 +238,7 @@ def service_outcome(excess_before: int, excess_after: int) -> Outcome:
     less than before; Failed otherwise.
     """
     if excess_after == 0:
-        return Outcome.CORRECTED
+        return CORRECTED
     if excess_after < excess_before:
-        return Outcome.PARTIAL
-    return Outcome.FAILED
+        return PARTIAL
+    return FAILED

@@ -7,6 +7,7 @@ from ubisim.engine import run_scenario
 from ubisim.model import EnergySpec, Status
 from ubisim.scenario import WorkloadItem, parse_scenario
 from ubisim.simkernel import (
+    Event,
     Message,
     PastEvent,
     Resume,
@@ -76,6 +77,24 @@ class TestQueueOrdering:
         second = sim.schedule(5, NOOP)
         assert sim.step() is first
         assert sim.step() is second
+
+    def test_schedule_builds_events_popped_in_time_seq_order(self):
+        sim = two_node_sim()
+        times = (6, 3, 6, 3, 9)
+        payloads = [Resume(0) for _ in times]
+        evs = [sim.schedule(t, p) for t, p in zip(times, payloads)]
+        assert all(type(ev) is Event for ev in evs)
+        assert [ev.time for ev in evs] == list(times)
+        assert all(ev.payload is p for ev, p in zip(evs, payloads))
+        seqs = [ev.seq for ev in evs]
+        assert seqs == sorted(set(seqs))
+        assert evs[0] == (6, seqs[0], payloads[0]) and evs[0]._fields == ("time", "seq", "payload")
+        popped = [sim.step() for _ in evs]
+        # earliest time first; within a tick, in the order scheduled
+        assert [ev is want for ev, want in zip(popped, [evs[i] for i in (1, 3, 0, 2, 4)])] == [True] * 5
+        assert sim.clock == 9 and sim.step() is None
+        with pytest.raises(PastEvent):
+            sim.schedule(8, NOOP)
 
     def test_idle_on_empty_queue(self):
         sim = two_node_sim()

@@ -131,6 +131,25 @@ def unread_fields(modules, readers):
             and stmt.target.id not in read]
 
 
+ENUMS = {"Status", "Mode", "Outcome"}
+
+
+def enum_member_loads(path):
+    """(line, Enum.MEMBER) of each member of a package enum that ``path``
+    reads through its class inside a function or lambda body. Functions read
+    the module constants instead; see the model module's docstring."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bodies += node.body
+        elif isinstance(node, ast.Lambda):
+            bodies.append(node.body)
+    return sorted({(n.lineno, f"{n.value.id}.{n.attr}") for body in bodies for n in ast.walk(body)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                   and isinstance(n.value, ast.Name) and n.value.id in ENUMS})
+
+
 def overrides_a_base(module_file, qualname):
     """Whether ``qualname`` is a method of a package class that replaces one
     it inherits, which the base's own callers reach."""
@@ -150,6 +169,25 @@ def test_guard_flags_a_third_party_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom . import model\nimport hypothesis\nfrom numpy import array\n")
     assert foreign_imports(probe) == [(3, "hypothesis"), (4, "numpy")]
+
+
+def test_no_function_reads_an_enum_member_through_its_class():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) >= 10
+    offenders = {p.name: enum_member_loads(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_guard_flags_an_enum_member_load(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "RUNNING = Status.RUNNING\n"
+        "class Rec:\n    status: Status = Status.RUNNING\n"
+        "def alive(dev, mode=Mode.DYNAMIC):\n    return dev.status is Status.RUNNING\n"
+        "failed = lambda o: o is Outcome.FAILED\n"
+        "def other(dev):\n    Status.RUNNING = 1\n    return dev.Status.RUNNING is RUNNING\n"
+    )
+    assert enum_member_loads(probe) == [(5, "Status.RUNNING"), (6, "Outcome.FAILED")]
 
 
 def test_every_module_uses_what_it_imports():
