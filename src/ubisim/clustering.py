@@ -92,41 +92,33 @@ def form_clusters(topology: Topology, energies: dict[int, int]) -> list[Cluster]
     return clusters
 
 
-def deploy_agents(sim, clusters) -> set[int]:
-    """Send one AgentDeploy per member and self-host an agent on each head.
+def deploy_agents(sim, clusters) -> None:
+    """Send one AgentDeploy from each live head to each of its members.
 
-    Member agents start when the deploy message is delivered; the returned
-    set holds the heads, whose agents run at once. A head found depleted
-    before deployment has its cluster re-formed first, and the live heads
-    of the re-formed clusters deploy in its place. An agent reports to
+    A member's agent starts when the deploy is delivered; the engine starts
+    each live head's own agent. A head found depleted before deployment has
+    its cluster re-formed, which deploys nothing: this relies on
+    ``form_clusters`` electing no member with more energy than its head, so
+    a depleted head's members are depleted too. An agent reports to
     whichever head ``sim.head_of`` names, not to the deploy's sender.
     """
-    heads: set[int] = set()
-    for cluster in list(clusters):
-        head_dev = sim.devices[cluster.head]
-        if head_dev.status is DEPLETED:
-            live = [
-                sub for sub in reform_cluster(sim, cluster.head)
-                if sim.devices[sub.head].status is not DEPLETED
-            ]
-            heads |= deploy_agents(sim, live)
+    for cluster in clusters:
+        if sim.devices[cluster.head].status is DEPLETED:
+            reform_cluster(sim, cluster.head, cluster.members)
             continue
-        heads.add(cluster.head)
         for member in sorted(cluster.members):
             sim.send(cluster.head, member, "agent_deploy")
-    return heads
 
 
-def reform_cluster(sim, old_head: int) -> list[Cluster]:
-    """Re-cluster the running members of a dead head's cluster.
+def reform_cluster(sim, old_head: int, members) -> list[Cluster]:
+    """Re-cluster the running ``members`` of a dead head's cluster.
 
     The old head becomes a depleted singleton; the members are re-swept over
     their induced subgraph so the member-adjacent-to-head invariant survives.
-    The new clusters are installed into the kernel's routing registry.
+    The new clusters replace the old one's routes in the kernel's routing table.
     """
-    members = sorted(sim.clusters.get(old_head, set()))
-    sim.drop_cluster(old_head)
-    running = [m for m in members if sim.devices[m].status is not DEPLETED]
+    sim.drop_cluster(old_head, members)
+    running = [m for m in sorted(members) if sim.devices[m].status is not DEPLETED]
     new_clusters = []
     if running:
         nodes = frozenset(running)

@@ -9,7 +9,7 @@ pass over the served load, which sums the expectation as it compares each
 service with its baseline. The verdict lists only the overloaded services;
 a sampled service it does not list is normal. Agents alert their cluster
 head on any non-normal verdict and otherwise file periodic reports; the head
-is the one the kernel's routing registry, ``Simulation.head_of``, names at
+is the one the kernel's routing table, ``Simulation.head_of``, names at
 the time of the report. The verdict is also the run's record of the
 node-window: ``RunLog.verdicts`` holds the verdicts themselves.
 """
@@ -181,7 +181,7 @@ def report_alert(host: int, verdict: DetectionVerdict,
 
     Non-normal verdicts always go out as an alert; all-normal windows send a
     periodic report every ``report_every`` windows. The head is
-    ``sim.head_of[host]``, the routing registry, which re-formation keeps
+    ``sim.head_of[host]``, the routing table, which re-formation keeps
     pointing at a live head; a head reports to itself without the radio.
     Returns which message kind left ("alert", "report", or "none").
     """

@@ -3,13 +3,14 @@ agent/controller protocol, and emit the output artifacts.
 
 Per window each live agent samples its host, compares against the knowledge
 base, and reports (alerting on any overload) to the head the kernel's routing
-registry, ``Simulation.head_of``, names; the engine keeps no copy of it. When
-a head depletes, its running members are re-clustered at once, so the
-registry names a live head for every live node. Alerts reach the cluster-head
-controller one latency tick later. An agent alerts at most once a window,
-so the controller plans at most one reconfiguration per alerting node per
-window; it applies it in the configured mode, and the episode is judged
-against the node's next-window sample.
+table, ``Simulation.head_of``, names; the engine keeps no copy of it. A live
+head's members are recorded only in its controller's view. When a head
+depletes, its running members are re-clustered at once, so the table names a
+live head for every live node. Alerts reach the cluster-head controller one
+latency tick later. An agent alerts at most once a window, so the controller
+plans at most one reconfiguration per alerting node per window; it applies it
+in the configured mode, and the episode is judged against the node's
+next-window sample.
 
 ``Engine.__init__`` installs the engine's bound methods as the kernel's
 protocol hooks, so the engine and its Simulation refer to each other.
@@ -107,17 +108,6 @@ def _collector_paused():
             gc.enable()
 
 
-def _controller(head: int, nodes, kb) -> ClusterView:
-    """A cluster head's controller, which is its view of the cluster.
-
-    The entries are keyed by the cluster's nodes, head included, in id
-    order; each holds the knowledge base's capacity dict for its node.
-    Re-formation replaces the view.
-    """
-    entries = {n: ViewEntry(node=n, capacities=kb.capacities[n]) for n in sorted(nodes)}
-    return ClusterView(head=head, entries=entries)
-
-
 class Engine:
     """One scenario wired into one Simulation instance."""
 
@@ -152,8 +142,10 @@ class Engine:
         clusters = form_clusters(topo, energies)
         self.sim.install_clusters(clusters)
         self.kb = build_knowledge_base(scenario, capacities, clusters)
-        self.controllers = {c.head: _controller(c.head, c.nodes, self.kb) for c in clusters}
-        self.agents: set[int] = deploy_agents(self.sim, clusters)
+        self.controllers: dict[int, ClusterView] = {}
+        self.agents: set[int] = set()
+        self._control(clusters)
+        deploy_agents(self.sim, clusters)
         self.pending: dict[int, list[EpisodeRecord]] = {}
         for k in range(run.ticks // run.window):
             self.sim.schedule((k + 1) * run.window, WindowBoundary(k))
@@ -319,16 +311,25 @@ class Engine:
         view = self.controllers.get(self.sim.head_of.get(node))
         if view is not None and node in view.entries:
             view.entries[node].status = DEPLETED
-        if node in self.sim.clusters:
+        if node in self.controllers:  # a live head
             self._reform(node)
 
     def _reform(self, old_head: int) -> None:
-        new_clusters = reform_cluster(self.sim, old_head)
-        self.controllers.pop(old_head, None)
-        for cluster in new_clusters:
-            if self.sim.devices[cluster.head].status is not DEPLETED:
-                self.controllers[cluster.head] = _controller(cluster.head, cluster.nodes, self.kb)
-                self.agents.add(cluster.head)
+        view = self.controllers.pop(old_head)
+        self._control(reform_cluster(self.sim, old_head, view.entries.keys() - {old_head}))
+
+    def _control(self, clusters) -> None:
+        """Give each live head of ``clusters`` its agent and its controller: a
+        view keyed by the cluster's nodes in id order, each entry holding the
+        knowledge base's capacity dict for its node."""
+        devices, capacities = self.sim.devices, self.kb.capacities
+        for cluster in clusters:
+            head = cluster.head
+            if devices[head].status is DEPLETED:
+                continue
+            entries = {n: ViewEntry(n, capacities[n]) for n in sorted(cluster.nodes)}
+            self.controllers[head] = ClusterView(head=head, entries=entries)
+            self.agents.add(head)
 
 
 def run_scenario(scenario: Scenario, out_dir=None):

@@ -189,11 +189,11 @@ class Simulation:
     """Single-threaded deterministic simulation instance.
 
     The kernel owns the devices, the clock, the event queue, the seeded
-    generator and the cluster registry used for reachability checks. A
-    node's standing demand is its ``DeviceState.load``, which arrivals and
-    migrations change in place; there is no separate demand table.
-    ``demand`` maps each node id to that same load dict, not a copy, under
-    the name the benchmark gate reads. Protocol behavior (agents,
+    generator and the routing table (``head_of``) used for reachability
+    checks. A node's standing demand is its ``DeviceState.load``, which
+    arrivals and migrations change in place; there is no separate demand
+    table. ``demand`` maps each node id to that same load dict, not a copy,
+    under the name the benchmark gate reads. Protocol behavior (agents,
     controllers) is attached through the
     ``on_boundary``/``on_message``/``on_depleted`` hooks, which are no-ops
     until an engine installs its own and again after ``clear_hooks``.
@@ -229,7 +229,6 @@ class Simulation:
         self.log = RunLog()
         self._write = self.log.lines.append
         self.demand: dict[int, dict[Service, int]] = {d.id: d.load for d in devices}
-        self.clusters: dict[int, frozenset[int]] = {}  # head -> its Cluster's members
         self.head_of: dict[int, int] = {}
         # event-driven billing state; see the module docstring
         self._ids = sorted(self.devices)
@@ -331,13 +330,12 @@ class Simulation:
         self.emit(self.clock, node, "local", f"kind={kind}")
         self.on_message(Message(node, node, kind, payload))
 
-    # -- cluster registry --
+    # -- routing table --
 
     def install_clusters(self, clusters) -> None:
-        """Record head/member assignments for routing and the trace."""
+        """Route each cluster's head and members to its head; trace each cluster."""
         for cluster in clusters:
             head = cluster.head
-            self.clusters[head] = cluster.members
             members = tuple(sorted(cluster.members))
             self.head_of[head] = head
             for m in members:
@@ -346,8 +344,8 @@ class Simulation:
             self.emit(self.clock, KERNEL, "cluster", f"head={head} members={ms}")
             self.log.cluster_records.append((self.clock, head, members))
 
-    def drop_cluster(self, head: int) -> None:
-        members = self.clusters.pop(head, set())
+    def drop_cluster(self, head: int, members) -> None:
+        """Remove the routes of ``head`` and its ``members``."""
         self.head_of.pop(head, None)
         for m in members:
             self.head_of.pop(m, None)

@@ -13,22 +13,32 @@ real kernel and lists what differs:
   before its next window-end bill or the horizon, whichever comes first.
 
 Run as a script, it compares hostile seeds 0-2999 of both generator modes,
-each run in both modes, and exits non-zero on any difference::
+each run in both modes. It also hashes the real kernel's trace,
+``final_energy``, ``cluster_records`` and report of every run into one
+sha256 and checks it against ``HOSTILE_DIGEST``, so drift on any of those
+seeds shows even where both kernels drift alike. It exits non-zero on any
+difference::
 
     PYTHONPATH=src python tests/billing_oracle.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import ubisim.engine
 from ubisim.engine import Engine
+from ubisim.metrics import build_report
 from ubisim.model import Activity, Status, consume_energy
 from ubisim.scenario import parse_scenario
 from ubisim.simkernel import Simulation
 
 from test_invariants import hostile_scenario_text
+
+
+# sha256 over the real kernel's outputs of the runs ``main`` compares, in order
+HOSTILE_DIGEST = "93682653cc2a7f5046460de8d960389bed558e91b2c3f0ec6ae62a3b158812ec"
 
 
 class PerTickSimulation(Simulation):
@@ -114,13 +124,19 @@ def run_on(kernel, text: str, mode: str | None = None):
     return engine.sim, engine.run()
 
 
-def compare(text: str, mode: str | None = None) -> list[str]:
-    """What differs between per-tick billing and the real kernel on ``text``."""
+def compare(text: str, mode: str | None = None, digest=None) -> list[str]:
+    """What differs between per-tick billing and the real kernel on ``text``.
+    The real kernel's trace, ``final_energy``, ``cluster_records`` and report
+    are fed to ``digest``, if given."""
     oracle, want = run_on(PerTickSimulation, text, mode)
     real, got = run_on(BillRecorder, text, mode)
+    trace = got.serialize()
+    if digest is not None:
+        digest.update(f"{trace}\0{got.final_energy!r}\0{got.cluster_records!r}\0"
+                      f"{build_report(got)!r}\0".encode())
     diffs = [name for name in ("final_energy", "window_energy", "total_debited")
              if getattr(got, name) != getattr(want, name)]
-    if got.serialize() != want.serialize():
+    if trace != want.serialize():
         diffs.insert(0, "trace")
     window, idle = real.window, real.params.idle
     for node, tick in real.early:
@@ -130,13 +146,13 @@ def compare(text: str, mode: str | None = None) -> list[str]:
     return diffs
 
 
-def sweep(texts, modes=("dynamic", "static")) -> dict:
+def sweep(texts, modes=("dynamic", "static"), digest=None) -> dict:
     """``{(label, mode): differences}`` for each ``(label, text)`` of ``texts``
-    that differs in any of ``modes``."""
+    that differs in any of ``modes``; ``digest`` is passed to ``compare``."""
     found = {}
     for label, text in texts:
         for mode in modes:
-            diffs = compare(text, mode)
+            diffs = compare(text, mode, digest)
             if diffs:
                 found[label, mode] = diffs
     return found
@@ -144,12 +160,14 @@ def sweep(texts, modes=("dynamic", "static")) -> dict:
 
 def main() -> int:
     seeds = range(3000)
+    digest = hashlib.sha256()
     found = sweep([((seed, margin), hostile_scenario_text(seed, margin=margin))
-                   for margin in (False, True) for seed in seeds])
+                   for margin in (False, True) for seed in seeds], digest=digest)
     for key, diffs in sorted(found.items()):
         print(key, diffs)
     print(f"{4 * len(seeds)} runs compared, {len(found)} differ")
-    return 1 if found else 0
+    print(f"real kernel digest {digest.hexdigest()}, recorded {HOSTILE_DIGEST}")
+    return 1 if found or digest.hexdigest() != HOSTILE_DIGEST else 0
 
 
 if __name__ == "__main__":

@@ -16,12 +16,6 @@ from ubisim.simkernel import Simulation
 from conftest import make_device
 
 
-def star_sim(n=4):
-    devs = [make_device(0, neighbors=set(range(1, n)))]
-    devs += [make_device(i, neighbors={0}) for i in range(1, n)]
-    return Simulation(devs, EnergySpec())
-
-
 class TestElectHead:
     def test_tie_breaks_to_lowest_id(self):
         assert elect_head({0, 1, 2}, {0: 5, 1: 7, 2: 7}) == 1
@@ -125,7 +119,10 @@ class TestSweepEquivalence:
     @settings(deadline=None, max_examples=150)
     def test_form_clusters_equals_repeated_election(self, graph):
         topo, energies = graph
-        assert form_clusters(topo, energies) == reference_clusters(topo, energies)
+        clusters = form_clusters(topo, energies)
+        assert clusters == reference_clusters(topo, energies)
+        # deploy_agents relies on this: a 0 mJ head's members are all depleted
+        assert all(energies[m] <= energies[c.head] for c in clusters for m in c.members)
 
     @given(graphs_with_tied_energies())
     @settings(deadline=None, max_examples=100)
@@ -167,33 +164,48 @@ class TestTopology:
             Topology(frozenset({0}), frozenset({(0, 9)}))
 
 
+def deploys(sim):
+    """(sender, receiver) of each agent_deploy sent, in trace order."""
+    lines = [line.split() for line in sim.log.lines]
+    return [(int(f[2]), int(f[4][3:])) for f in lines
+            if f[3] == "send" and f[5] == "kind=agent_deploy"]
+
+
 class TestDeployAgents:
     def test_one_message_per_member(self):
-        sim = star_sim(3)
-        clusters = [Cluster(head=0, members=frozenset({1, 2}))]
+        devs = [make_device(0, neighbors={1, 2}), make_device(1, neighbors={0}),
+                make_device(2, neighbors={0}), make_device(3, neighbors={4}),
+                make_device(4, neighbors={3})]
+        sim = Simulation(devs, EnergySpec())
+        clusters = [Cluster(head=0, members=frozenset({2, 1})),
+                    Cluster(head=3, members=frozenset({4}))]
         sim.install_clusters(clusters)
-        assert deploy_agents(sim, clusters) == {0}  # head self-hosts immediately
-        sends = [l for l in sim.log.lines if l.split()[3] == "send"]
-        assert len(sends) == 2
-        assert all("kind=agent_deploy" in l for l in sends)
+        deploy_agents(sim, clusters)
+        assert deploys(sim) == [(0, 1), (0, 2), (3, 4)]
+        assert sim.head_of == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3}
 
     def test_singleton_head_self_hosts(self):
         dev = make_device(5)
         sim = Simulation([dev], EnergySpec())
         clusters = [Cluster(head=5)]
         sim.install_clusters(clusters)
-        assert deploy_agents(sim, clusters) == {5}
+        deploy_agents(sim, clusters)
         assert not any(l.split()[3] == "send" for l in sim.log.lines)
 
     def test_depleted_head_triggers_reformation(self):
-        sim = star_sim(3)
-        sim.devices[0].energy_mj = 0
-        sim.devices[0].status = Status.DEPLETED
-        # members 1 and 2 are not adjacent, so each becomes its own cluster
-        clusters = [Cluster(head=0, members=frozenset({1, 2}))]
+        # a 0 mJ head's members hold no more energy than it, so all are depleted
+        devs = [make_device(0, energy=0, neighbors={1, 2}),
+                make_device(1, energy=0, neighbors={0}),
+                make_device(2, energy=0, neighbors={0}),
+                make_device(3, neighbors={4}), make_device(4, neighbors={3})]
+        sim = Simulation(devs, EnergySpec())
+        clusters = [Cluster(head=3, members=frozenset({4})),
+                    Cluster(head=0, members=frozenset({1, 2}))]
         sim.install_clusters(clusters)
-        assert deploy_agents(sim, clusters) == {1, 2}
-        assert sim.head_of == {0: 0, 1: 1, 2: 2}
+        deploy_agents(sim, clusters)
+        assert deploys(sim) == [(3, 4)]
+        assert sim.log.cluster_records[2:] == [(0, 0, ())]
+        assert sim.head_of == {0: 0, 3: 3, 4: 3}
 
 
 class TestReformCluster:
@@ -209,7 +221,7 @@ class TestReformCluster:
         sim.install_clusters([Cluster(head=0, members=frozenset({1, 2, 3}))])
         sim.devices[0].energy_mj = 0
         sim.devices[0].status = Status.DEPLETED
-        new = reform_cluster(sim, 0)
+        new = reform_cluster(sim, 0, {1, 2, 3})
         by_head = {c.head: c for c in new}
         assert set(by_head) == {1, 3, 0}
         assert by_head[1].members == frozenset({2})
@@ -227,6 +239,6 @@ class TestReformCluster:
         sim.install_clusters([Cluster(head=0, members=frozenset({1, 2}))])
         sim.devices[0].status = Status.DEPLETED
         sim.devices[0].energy_mj = 0
-        new = reform_cluster(sim, 0)
+        new = reform_cluster(sim, 0, {1, 2})
         live_heads = [c.head for c in new if sim.devices[c.head].status is Status.RUNNING]
         assert live_heads == [2]

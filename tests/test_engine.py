@@ -83,6 +83,40 @@ class TestHeadDepletionReformation:
             assert n in engine.agents and engine.sim.head_of[n] == 1
 
 
+# Head 2 (500 mJ) absorbs 3; head 0 starts at 0 mJ with its depleted member 1.
+DEAD_HEAD = """
+[services]
+name=S capacity=34
+
+[nodes]
+id=0 energy=0
+id=1 energy=0
+id=2 energy=500
+id=3 energy=400
+
+[edges]
+a=0 b=1
+a=2 b=3
+
+[energy]
+idle=1 tx=2 rx=1 request=5
+
+[run]
+ticks=40 window=10 mode=dynamic seed=1
+"""
+
+
+class TestDepletedAtStart:
+    def test_a_head_that_starts_depleted_gets_no_controller_and_no_agent(self):
+        engine = Engine(parse_scenario(DEAD_HEAD))
+        assert engine.controllers.keys() == {2}
+        assert engine.agents == {2}
+        engine.run()
+        assert engine.controllers.keys() == {2}
+        assert engine.agents == {2, 3}
+        assert engine.sim.head_of == {0: 0, 2: 2, 3: 2}
+
+
 class TestOneOwnerPerFact:
     # hostile seed 3 migrates load in static mode and loses arrivals to a
     # quiesced node; TRIANGLE re-forms its cluster after head 0 depletes

@@ -173,10 +173,11 @@ def assert_correction_bookkeeping(engine, log):
     """Episodes' books and the controllers' views are consistent.
 
     Each episode service's excess is either moved or left as residual, and
-    an episode that moved nothing changed no total or Jain index. A node in
-    a live controller's view is in no other controller's view, and
-    ``sim.head_of`` names that controller's head: ``Engine._on_depleted``
-    looks the controller up by ``head_of`` alone.
+    an episode that moved nothing changed no total or Jain index. Every
+    controller is a live head's, every live head that ``sim.head_of`` routes
+    to has one, and its view's entries are, in id order, the nodes
+    ``head_of`` routes to it: ``Engine._on_depleted`` looks the controller
+    up by ``head_of`` alone, and re-forms from the view's entries.
     """
     for ep in log.episodes:
         for svc, se in ep.services.items():
@@ -185,14 +186,13 @@ def assert_correction_bookkeeping(engine, log):
             assert ep.jain_after == ep.jain_before, (ep.node, ep.window)
             assert ep.totals_after == ep.totals_before, (ep.node, ep.window)
     sim = engine.sim
+    routed = {}
+    for n in sorted(sim.head_of):
+        routed.setdefault(sim.head_of[n], []).append(n)
+    live = {h for h in routed if sim.devices[h].status is not Status.DEPLETED}
+    assert engine.controllers.keys() == live
     for head, view in engine.controllers.items():
-        if sim.devices[head].status is not Status.DEPLETED:
-            assert list(view.entries) == sorted({head} | sim.clusters[head]), head
-            for n in view.entries:
-                assert sim.head_of[n] == head, (n, head)
-                others = [h for h, v in engine.controllers.items()
-                          if h != head and n in v.entries]
-                assert not others, (n, head, others)
+        assert list(view.entries) == routed[head], head
 
 
 @pytest.mark.parametrize("seed", SEEDS)
