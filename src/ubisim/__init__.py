@@ -25,7 +25,6 @@ from .model import (
 from .reconfig import (
     ClusterView,
     MigrationDirective,
-    Mode,
     Outcome,
     ReconfigPlan,
     apply_dynamic,
@@ -33,7 +32,7 @@ from .reconfig import (
     correction_outcome,
     plan_reconfiguration,
 )
-from .scenario import ParseError, Scenario, parse_scenario, serialize_scenario
+from .scenario import Mode, ParseError, Scenario, parse_scenario, serialize_scenario
 from .simkernel import Event, Message, RunLog, Simulation
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import metrics
 from .engine import run_scenario
 from .model import SimulationError
-from .scenario import MissingCapacity, ParseError, Scenario, parse_scenario
+from .scenario import MODE_NAMES, MissingCapacity, ParseError, Scenario, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,7 +43,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--scenario", required=True, help="path to a .scn file")
     p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     p_run.add_argument("--out", default="out", help="output directory (default: ./out)")
-    p_run.add_argument("--mode", choices=["dynamic", "static"], default=None,
+    p_run.add_argument("--mode", choices=MODE_NAMES, default=None,
                        help="override [run] mode")
 
     p_repro = sub.add_parser("repro", help="reproduce a bundled reference table")

@@ -43,9 +43,7 @@ from .detection import (
 )
 from .model import DEPLETED, DeviceState, Service
 from .reconfig import (
-    DYNAMIC,
     ClusterView,
-    Mode,
     StaleView,
     ViewEntry,
     apply_dynamic,
@@ -54,7 +52,7 @@ from .reconfig import (
     plan_reconfiguration,
     service_outcome,
 )
-from .scenario import Scenario
+from .scenario import DYNAMIC, Mode, Scenario
 from .simkernel import RunLog, Simulation, WindowBoundary
 
 

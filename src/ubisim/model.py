@@ -14,9 +14,10 @@ the knowledge base and ``energy_delta`` all read ``Scenario.energy`` and
 none of them mutates it.
 
 Functions read enum members through module constants bound next to the
-enum: ``RUNNING``, ``QUIESCED`` and ``DEPLETED`` here, ``DYNAMIC`` and the
-``Outcome`` members in ``reconfig``. On Python 3.10 and 3.11 the enum's
-metaclass defines ``__getattr__``, so each ``Status.DEPLETED`` read inside a
+enum: ``RUNNING``, ``QUIESCED`` and ``DEPLETED`` here, ``DYNAMIC`` in
+``scenario`` (the layer that reads ``[run] mode``) and the ``Outcome``
+members in ``reconfig``. On Python 3.10 and 3.11 the enum's metaclass
+defines ``__getattr__``, so each ``Status.DEPLETED`` read inside a
 function costs 0.17 us (3.10) or 0.11-0.16 us (3.11), against 0.03 us for a
 module constant, which is also what 3.12 and 3.13 pay for the member (a
 2-CPU x86-64 VM). A run reads a member about 4.5 times per node-window. A

@@ -26,14 +26,6 @@ class StaleView(SimulationError):
     """Every peer entry is older than the staleness limit; plan deferred."""
 
 
-class Mode(Enum):
-    DYNAMIC = "dynamic"
-    STATIC = "static"
-
-
-DYNAMIC = Mode.DYNAMIC  # a module constant; see the model module's docstring
-
-
 @dataclass
 class ViewEntry:
     """Controller-side knowledge of one cluster node."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .model import EnergySpec, SimulationError
 
@@ -72,6 +73,15 @@ class NegativeValue(ParseError):
 
 class MissingCapacity(SimulationError):
     """A node offers a service with no capacity configured anywhere."""
+
+
+class Mode(Enum):
+    DYNAMIC = "dynamic"
+    STATIC = "static"
+
+
+DYNAMIC = Mode.DYNAMIC  # a module constant; see the model module's docstring
+MODE_NAMES = tuple(mode.value for mode in Mode)
 
 
 @dataclass
@@ -270,18 +280,17 @@ def _parse_node(p: _Parse, fields, lineno):
     nid = _int(fields, "id", lineno, 0)
     if nid in p.node_ids:
         raise DuplicateNode(f"node {nid} declared twice", lineno)
-    energy = 10_000
+    node = NodeSpec(nid)
     if "energy" in fields:
-        energy = _int(fields, "energy", lineno, 0)
-    overrides = {}
+        node.energy = _int(fields, "energy", lineno, 0)
     for key in [k for k in fields if k.startswith("cap.")]:
         svc = key[4:]
         if svc not in p.service_names:
             raise UnknownService(f"override for undeclared service {svc!r}", lineno)
-        overrides[svc] = _int(fields, key, lineno, 1)
+        node.overrides[svc] = _int(fields, key, lineno, 1)
     _no_extras(fields, lineno)
     p.node_ids.add(nid)
-    p.scenario.nodes.append(NodeSpec(nid, energy, overrides))
+    p.scenario.nodes.append(node)
 
 
 def _parse_edge(p: _Parse, fields, lineno):
@@ -348,8 +357,8 @@ def _parse_run(p: _Parse, fields, lineno):
         r.window = _int(fields, "window", lineno, 1)
     if "mode" in fields:
         mode = fields.pop("mode")
-        if mode not in ("dynamic", "static"):
-            raise MalformedLine(f"mode must be dynamic or static, got {mode!r}", lineno)
+        if mode not in MODE_NAMES:
+            raise MalformedLine(f"mode must be {' or '.join(MODE_NAMES)}, got {mode!r}", lineno)
         r.mode = mode
     if "seed" in fields:
         r.seed = _int(fields, "seed", lineno)

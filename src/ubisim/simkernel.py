@@ -23,20 +23,21 @@ Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
 window (where each running device also pays for serving its current load,
 which is recorded as the window's served sample) and at the tick its idle
-draw alone empties its battery. A message's tx or rx cost is owed, and rides
-the device's next bill: the window-end bill, a depletion bill or a settling
-``Simulation.energy`` read. The one exception is a device whose radio debt
-exceeds its margin, its charge at its last bill less the idle draw through
-the tick before its next window end (or the horizon) less 1 mJ: it is billed
-at the tick of that message, since it could otherwise run dry unbilled. So a
-live device is billed once per window unless its battery runs low. Each
-bill charges the idle cost of every tick skipped since the last one, and
-the radio owed, in the same ``consume_energy`` call, which debits exactly
-what billing every tick would have: a skipped span cannot empty the battery
-before its last tick. Ticks are settled when the clock first moves past
-them; within a tick, devices are billed in id order, so ``depleted`` lines
-and the ``on_depleted`` hook keep their place in the trace. Radio at or past
-the horizon is never billed.
+draw alone empties its battery. Set-up and each bill start a live device's
+margin: its charge less the idle draw through the tick before its next
+window end (or the horizon) less 1 mJ; a negative one queues that idle
+depletion. A message's tx or rx cost is owed, spent from the margin, and
+rides the device's next bill: the window-end bill, a depletion bill or a
+settling ``Simulation.energy`` read. The one exception is radio that spends
+the margin past zero: the device is billed at the tick of that message,
+since it could otherwise run dry unbilled. So a live device is billed once
+per window unless its battery runs low. Each bill charges the idle cost of
+every tick skipped since the last one, and the radio owed, in the same
+``consume_energy`` call, which debits exactly what billing every tick would
+have: a skipped span cannot empty the battery before its last tick. Ticks
+are settled when the clock first moves past them; within a tick, devices
+are billed in id order, so ``depleted`` lines and the ``on_depleted`` hook
+keep their place in the trace. Radio at or past the horizon is never billed.
 
 The protocol hooks are the engine's only for the length of ``Engine.run``,
 which puts the kernel's no-ops back when it returns or raises, so a finished
@@ -233,13 +234,14 @@ class Simulation:
         # event-driven billing state; see the module docstring
         self._ids = sorted(self.devices)
         self._billed: dict[int, int] = dict.fromkeys(self._ids, -1)
-        self._owed: dict[int, list[int]] = {}  # node -> [tx, rx, margin left]
+        # live node -> [tx, rx, margin left], started at set-up and each bill
+        self._owed: dict[int, list[int]] = {}
         self._open: dict[int, tuple[int, int]] = {}  # owed (tx, rx) before tick ``clock``
         # heap of (tick, node): idle depletions and radio debts past the margin
         self._depletions: list[tuple[int, int]] = []
         self._flushed_through = -1
         self._cursor: Optional[int] = None  # node being billed mid-tick
-        self._queue_depletions(self._ids, -1)
+        self._start_margins(self._ids, -1)
         self.window_acc: dict[int, int] = dict.fromkeys(self._ids, 0)
         self.served_snapshot: dict[int, dict[Service, int]] = {}
         self.log.initial_energy = {d.id: d.energy_mj for d in devices}
@@ -353,18 +355,12 @@ class Simulation:
     # -- energy accounting --
 
     def _owe(self, node: int, tx: int, rx: int) -> None:
-        """Add a message's radio to what ``node`` owes; queue a bill at this
-        tick only once the debt could empty it before its next window end."""
-        clock, horizon = self.clock, self.horizon
-        if clock >= horizon:
+        """Add a message's radio to what ``node`` owes and spend it from the
+        node's margin; queue a bill at this tick once that is spent past zero."""
+        clock = self.clock
+        if clock >= self.horizon:
             return  # never billed
-        p, owed = self.params, self._owed.get(node)
-        if owed is None:  # nothing owed since the last bill, which set the margin
-            billed = self._billed[node]
-            end = min(self._window_last_after(billed), horizon)
-            margin = self.devices[node].energy_mj - p.idle * (end - 1 - billed) - 1
-            owed = self._owed[node] = [0, 0, margin]
-        opened = self._open
+        p, owed, opened = self.params, self._owed[node], self._open
         if node not in opened:
             opened[node] = (owed[0], owed[1])
         owed[0] += tx
@@ -383,19 +379,22 @@ class Simulation:
         owed for ticks up to the one settled; the open tick's radio stays
         owed when settling only through the tick before it. That cannot
         empty the battery: an idle depletion is billed at its tick, and radio
-        past the margin at the message's tick.
+        past the margin at the message's tick. It keeps the margin that
+        set-up or the last bill started, as it moves neither the node's next
+        bill nor what the node may spend before it.
         """
         dev = self.devices[node]
         through = self._flushed_through
         if self._cursor is not None and node < self._cursor:
             through += 1
         if dev.status is not DEPLETED and self._billed[node] < through:
-            tx, rx, left = self._owed.pop(node, (0, 0, 0))
-            before = self._open.get(node) if through < self.clock else None
-            if before is not None:  # the open tick's radio stays owed
-                self._owed[node] = [tx - before[0], rx - before[1], left]
+            owed = self._owed[node]
+            tx, rx, _left = owed
+            if through < self.clock and node in self._open:  # the open tick's radio stays owed
+                tx, rx = self._open[node]
                 self._open[node] = (0, 0)
-                tx, rx = before
+            owed[0] -= tx
+            owed[1] -= rx
             self._bill(dev, Activity({}, tx, rx), through)
         return dev.energy_mj
 
@@ -430,23 +429,22 @@ class Simulation:
         """The first tick after ``t`` that ends a measurement window."""
         return (t + 1) // self.window * self.window + self.window - 1
 
-    def _queue_depletions(self, nodes, tick: int) -> None:
-        """Queue the tick idle draw alone empties each of ``nodes``.
-
-        The nodes are billed through ``tick``. Only a depletion before the
-        next window's last tick is queued; a later one is found when that
-        tick bills the device.
-        """
+    def _start_margins(self, nodes, tick: int) -> None:
+        """Start the margin of each live node of ``nodes``, billed through
+        ``tick``, with nothing owed. A negative one queues the tick idle draw
+        alone empties the node; a live node holds at least 1 mJ, so that
+        needs a positive idle draw."""
         idle = self.params.idle
-        if idle <= 0:
-            return
-        before = min(self._window_last_after(tick), self.horizon)
+        end = min(self._window_last_after(tick), self.horizon)
+        need = idle * (end - 1 - tick) + 1
+        devices, owed, depletions = self.devices, self._owed, self._depletions
         for nid in nodes:
-            dev = self.devices[nid]
+            dev = devices[nid]
             if dev.status is not DEPLETED:
-                dies = tick - (-dev.energy_mj // idle)
-                if dies < before:
-                    heapq.heappush(self._depletions, (dies, nid))
+                margin = dev.energy_mj - need
+                owed[nid] = [0, 0, margin]
+                if margin < 0:
+                    heapq.heappush(depletions, (tick - (-dev.energy_mj // idle), nid))
 
     def _bill_tick(self, tt: int) -> None:
         """Bill, in id order, every device that must be billed at ``tt``."""
@@ -463,7 +461,7 @@ class Simulation:
             status = dev.status
             if status is DEPLETED:
                 continue
-            tx, rx, _left = owed.pop(nid, (0, 0, 0))
+            tx, rx, _left = owed[nid]
             if window_last and status is RUNNING:
                 act = Activity(dict(dev.load), tx, rx)
                 served[nid] = act.requests_served
@@ -474,11 +472,12 @@ class Simulation:
             self._cursor = nid
             bill(dev, act, tt)
             if dev.status is DEPLETED:
+                del owed[nid]
                 self.emit(tt, nid, "depleted", "")
                 self.on_depleted(nid)
         self._cursor = None
         self._flushed_through = tt
-        self._queue_depletions(billed, tt)
+        self._start_margins(billed, tt)
 
     # -- dispatch --
 

@@ -14,10 +14,12 @@ real kernel and lists what differs:
 
 Run as a script, it compares hostile seeds 0-2999 of both generator modes,
 each run in both modes. It also hashes the real kernel's trace,
-``final_energy``, ``cluster_records`` and report of every run into one
-sha256 and checks it against ``HOSTILE_DIGEST``, so drift on any of those
-seeds shows even where both kernels drift alike. It exits non-zero on any
-difference::
+``final_energy``, ``cluster_records`` and report of every hostile run into
+one sha256 and checks it against ``HOSTILE_DIGEST``, so drift on any of
+those seeds shows even where both kernels drift alike. Then it compares
+seeds 1-3 of each benchmark workload (``bench/scengen.py``: up to 1,600
+nodes, draining batteries) in both modes, outside the digest. It exits
+non-zero on any difference::
 
     PYTHONPATH=src python tests/billing_oracle.py
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from pathlib import Path
 
 import ubisim.engine
 from ubisim.engine import Engine
@@ -167,7 +170,16 @@ def main() -> int:
         print(key, diffs)
     print(f"{4 * len(seeds)} runs compared, {len(found)} differ")
     print(f"real kernel digest {digest.hexdigest()}, recorded {HOSTILE_DIGEST}")
-    return 1 if found or digest.hexdigest() != HOSTILE_DIGEST else 0
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import scengen
+
+    workloads = sorted(scengen.WORKLOADS)
+    bench = sweep([((workload, seed), scengen.generate(workload, seed))
+                   for workload in workloads for seed in (1, 2, 3)])
+    for key, diffs in sorted(bench.items()):
+        print(key, diffs)
+    print(f"{6 * len(workloads)} benchmark runs compared, {len(bench)} differ")
+    return 1 if found or bench or digest.hexdigest() != HOSTILE_DIGEST else 0
 
 
 if __name__ == "__main__":

@@ -177,7 +177,12 @@ def _member_bills(monkeypatch, battery, ticks):
      [(9, 0, 3), (10, 1, 0)]),   # the report empties the battery at tick 10
     (17, 14, "e2953aa5ffefdb88283231a7f490d1ad82b1a30b63ce45c7310fb60c62b096f0",
      [(9, 0, 7), (13, 1, 1)]),   # at the margin the horizon sets: owed to the end
-], ids=["at_margin", "past_margin", "empties", "at_horizon_margin"])
+    (9, 30, "a4a5273ae2b4fed485f6dcd104a0535997e26eb35373e3c288035a2c346f9f9c",
+     [(1, 0, 7), (8, 0, 0)]),   # set-up margin -1: billed at the deploy's tick
+    (10, 30, "0b910a73b0540abe8e7e57bc85ff505feda13cdc5cade543c49e6e9ee13e9765",
+     [(9, 0, 0)]),   # set-up margin 0: only the window-end bill, which empties it
+], ids=["at_margin", "past_margin", "empties", "at_horizon_margin", "setup_past_margin",
+        "setup_at_margin"])
 def test_report_is_billed_at_its_tick_only_past_the_margin(monkeypatch, battery, ticks,
                                                            golden, bills):
     digest, member_bills = _member_bills(monkeypatch, battery, ticks)

@@ -23,11 +23,12 @@ class TestKernelGuards:
         # a node's own report goes through local_deliver, never the radio
         sim = cluster_sim({0: {"S": 0}, 1: {"S": 0}})
         lines = list(sim.log.lines)
+        owed = {node: list(entry) for node, entry in sim._owed.items()}
         for node in (0, 1):
             with pytest.raises(Unreachable):
                 sim.send(node, node, "report")
         assert sim.log.lines == lines
-        assert sim.queue == [] and sim._owed == {}
+        assert sim.queue == [] and sim._owed == owed  # no radio owed, no margin spent
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
