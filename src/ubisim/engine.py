@@ -6,11 +6,13 @@ base, and reports (alerting on any overload) to the head the kernel's routing
 table, ``Simulation.head_of``, names; the engine keeps no copy of it. A live
 head's members are recorded only in its controller's view. When a head
 depletes, its running members are re-clustered at once, so the table names a
-live head for every live node. Alerts reach the cluster-head controller one
-latency tick later. An agent alerts at most once a window, so the controller
-plans at most one reconfiguration per alerting node per window; it applies it
-in the configured mode, and the episode is judged against the node's
-next-window sample.
+live head for every live node. The controller path relies on that: a report,
+an alert or a depletion finds its head's controller and its node's view entry
+by lookup alone, so a broken route raises where it is met instead of dropping
+the message. Alerts reach the cluster-head controller one latency tick later.
+An agent alerts at most once a window, so the controller plans at most one
+reconfiguration per alerting node per window; it applies it in the configured
+mode, and the episode is judged against the node's next-window sample.
 
 ``Engine.__init__`` installs the engine's bound methods as the kernel's
 protocol hooks, so the engine and its Simulation refer to each other.
@@ -136,8 +138,7 @@ class Engine:
         mode = Mode(run.mode)  # an unknown mode name raises here
         self.dynamic = mode is DYNAMIC
         self.mode = mode.value  # the name every episode records
-        energies = {n.id: n.energy for n in scenario.nodes}
-        clusters = form_clusters(topo, energies)
+        clusters = form_clusters(topo, self.sim.log.initial_energy)
         self.sim.install_clusters(clusters)
         self.kb = build_knowledge_base(scenario, capacities, clusters)
         self.controllers: dict[int, ClusterView] = {}
@@ -214,12 +215,9 @@ class Engine:
         agent deploy starts an agent; a reconfigure only notifies."""
         kind = msg.kind
         if kind == "report" or kind == "alert":
-            view = self.controllers.get(msg.receiver)
-            if view is None:
-                return
+            view = self.controllers[msg.receiver]
             verdict, sample = msg.payload
-            if sample.node in view.entries:
-                view.observe(sample.node, sample.observed, sample.window)
+            view.observe(sample.node, sample.observed, sample.window)
             if kind == "alert":
                 self._handle_alert(view, verdict)
         elif kind == "agent_deploy":
@@ -306,9 +304,7 @@ class Engine:
     # -- depletion / re-formation --
 
     def _on_depleted(self, node: int) -> None:
-        view = self.controllers.get(self.sim.head_of.get(node))
-        if view is not None and node in view.entries:
-            view.entries[node].status = DEPLETED
+        self.controllers[self.sim.head_of[node]].entries[node].status = DEPLETED
         if node in self.controllers:  # a live head
             self._reform(node)
 

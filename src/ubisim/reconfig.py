@@ -19,7 +19,7 @@ from enum import Enum
 
 from .detection import DetectionVerdict, KnowledgeBase, control_compare
 from .model import DEPLETED, QUIESCED, RUNNING, Service, SimulationError, Status
-from .simkernel import Resume, SenderDepleted, Unreachable
+from .simkernel import Resume
 
 
 class StaleView(SimulationError):
@@ -37,8 +37,7 @@ class ViewEntry:
     window: int = -1  # window of the last update; -1 = never
 
     def spare(self, service: Service) -> int:
-        if self.load is None:
-            return 0
+        """Capacity left for ``service``; the load must have been reported."""
         return max(0, self.capacities.get(service, 0) - self.load.get(service, 0))
 
 
@@ -61,13 +60,13 @@ class ClusterView:
     def adjust(self, service: Service, source: int, dest: int, amount: int) -> None:
         """Fold an applied directive back into the last-known loads.
 
-        Each changed entry gets a new dict: the old one may be a shared
-        served dict (see ``observe``).
+        Both endpoints have a reported load: the source is the alerting node
+        and the destination an eligible peer. Each changed entry gets a new
+        dict: the old one may be a shared served dict (see ``observe``).
         """
         for node, delta in ((source, -amount), (dest, amount)):
-            entry = self.entries.get(node)
-            if entry is not None and entry.load is not None:
-                entry.load = {**entry.load, service: entry.load.get(service, 0) + delta}
+            entry = self.entries[node]
+            entry.load = {**entry.load, service: entry.load.get(service, 0) + delta}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,14 +102,13 @@ def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
                          staleness_max: int = 2) -> ReconfigPlan:
     """Water-fill each overloaded service's excess onto the freshest peers.
 
-    Pure in (view, verdict): identical inputs yield the identical directive
-    list. Raises StaleView when peers exist but none has been heard from
-    within ``staleness_max`` windows of the verdict's window.
+    ``verdict`` overloads at least one service. Pure in (view, verdict):
+    identical inputs yield the identical directive list. Raises StaleView
+    when peers exist but none has been heard from within ``staleness_max``
+    windows of the verdict's window.
     """
     plan = ReconfigPlan(head=view.head, node=verdict.node)
     overloaded = verdict.overloaded
-    if not overloaded:
-        return plan
     node, oldest = verdict.node, verdict.window - staleness_max
     eligible = [
         e for e in view.entries.values()
@@ -156,10 +154,7 @@ def _notify(plan: ReconfigPlan, sim) -> None:
     """One reconfigure message per plan, head to the reconfigured node."""
     if not plan.directives or plan.node == plan.head:
         return
-    try:
-        sim.send(plan.head, plan.node, "reconfigure")
-    except (Unreachable, SenderDepleted):
-        pass
+    sim.send(plan.head, plan.node, "reconfigure")
 
 
 def apply_dynamic(plan: ReconfigPlan, sim) -> list[tuple[MigrationDirective, int]]:
@@ -189,8 +184,6 @@ def apply_static(plan: ReconfigPlan, sim,
     serve nothing while stopped; each records ``quiesce_ticks`` of downtime.
     A plan with no directive involves no device.
     """
-    if not plan.directives:
-        return apply_dynamic(plan, sim)
     involved = sorted({n for d in plan.directives if _live(d, sim) for n in (d.source, d.dest)})
     for nid in involved:
         dev = sim.devices[nid]

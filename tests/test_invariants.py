@@ -8,7 +8,9 @@ modes. Every run must finish and keep the energy ledger, per-service load
 in dynamic plans, demand and the message count exact. At every boundary the
 routing registry names a live head for every live node, which is where its
 agent reports, and a node that depletes is installed as a head at most once
-after, as a singleton.
+after, as a singleton. ``assert_run_keeps_invariants`` checks all of this
+for one scenario text, so any generator can feed it; ``tests/storms.py``
+runs it on large re-formation storms.
 
 A node-window's served dict is one object shared by the sample, the
 controller's view and ``RunLog.window_served``; the overloads every verdict
@@ -195,10 +197,17 @@ def assert_correction_bookkeeping(engine, log):
         assert list(view.entries) == routed[head], head
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_hostile_run_keeps_invariants(seed, monkeypatch):
-    scenario = parse_scenario(hostile_scenario_text(seed))
-    engine, _report, log, radio, strays = observed_run(scenario, monkeypatch)
+def assert_run_keeps_invariants(text, mode=None):
+    """Run scenario ``text`` (in ``mode``, if given) and check every run
+    invariant: the energy ledger, load conservation in dynamic plans,
+    non-negative demand, the correction books and controller views, the
+    message count, no stray head at any boundary, and no depleted node
+    installed again as the head of anything but its own singleton."""
+    scenario = parse_scenario(text)
+    if mode is not None:
+        scenario.run.mode = mode
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        engine, _report, log, radio, strays = observed_run(scenario, monkeypatch)
 
     consumed = sum(log.initial_energy[n] - log.final_energy[n] for n in log.initial_energy)
     assert consumed == log.total_debited
@@ -220,6 +229,11 @@ def test_hostile_run_keeps_invariants(seed, monkeypatch):
     assert strays == []
     for node, installs in heads_installed_after_depletion(log).items():
         assert installs in ([], [""]), (node, installs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hostile_run_keeps_invariants(seed):
+    assert_run_keeps_invariants(hostile_scenario_text(seed))
 
 
 @pytest.mark.parametrize("mode", ["dynamic", "static"])

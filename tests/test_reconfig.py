@@ -21,7 +21,7 @@ from ubisim.reconfig import (
     plan_reconfiguration,
     service_outcome,
 )
-from ubisim.simkernel import Simulation
+from ubisim.simkernel import SenderDepleted, Simulation
 
 from conftest import make_device
 
@@ -241,13 +241,24 @@ class TestApplyDynamic:
         assert not any(l.split()[3] == "send" for l in sim.log.lines)
 
     def test_depleted_destination_skipped(self):
-        sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
-        sim.devices[0].energy_mj = 0
-        sim.devices[0].status = Status.DEPLETED
-        executed = apply_dynamic(plan_16(), sim)
+        sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}, 2: {"S": 0}})
+        sim.devices[2].energy_mj = 0
+        sim.devices[2].status = Status.DEPLETED
+        plan = ReconfigPlan(head=0, node=1, directives=[MigrationDirective("S", 1, 2, 16)],
+                            residual={"S": 0})
+        executed = apply_dynamic(plan, sim)
         assert [l.split()[3] for l in sim.log.lines].count("skip") == 1
         assert executed == []
         assert sim.devices[1].load["S"] == 50
+
+    def test_depleted_head_raises(self):
+        # the engine plans only at a live head, so a dead one is a broken
+        # routing invariant and must not be passed over in silence
+        sim = cluster_sim({0: {"S": 0}, 1: {"S": 50}})
+        sim.devices[0].energy_mj = 0
+        sim.devices[0].status = Status.DEPLETED
+        with pytest.raises(SenderDepleted):
+            apply_dynamic(plan_16(), sim)
 
 
 class TestApplyStatic:
