@@ -12,7 +12,7 @@ from .detection import (
     report_alert,
 )
 from .engine import Engine, run_scenario
-from .metrics import build_report, detection_stats, energy_report, jain_index
+from .metrics import build_report, detection_stats, energy_report
 from .model import (
     Activity,
     DeviceState,

@@ -168,22 +168,15 @@ def cmd_repro(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"run": cmd_run, "repro": cmd_repro, "validate": cmd_validate}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "repro":
-            return cmd_repro(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -67,26 +67,26 @@ def elect_head(candidates, energies) -> int:
     return min(candidates, key=lambda n: _election_key(n, energies))
 
 
-def form_clusters(topology: Topology, energies: dict[int, int]) -> list[Cluster]:
-    """Partition all nodes into clusters; isolated nodes become singletons.
+def form_clusters(energies: dict[int, int], neighbors) -> list[Cluster]:
+    """Partition the nodes of ``energies`` into clusters over ``neighbors``.
 
-    Energies do not change during a sweep, so the nodes are sorted once by
-    ``elect_head``'s rule (most energy first, ties to the lowest id) and
-    each node still unassigned when its turn comes becomes a head. That
-    elects the same heads, in the same order, as calling ``elect_head`` on
-    the unassigned nodes again and again, in O(N log N + E). Returned in
-    election order, which is deterministic for a given (topology, energies)
-    pair.
+    ``neighbors(node)`` is the node's set of neighbours; only those among
+    the nodes of ``energies`` join a cluster, so a node with none becomes a
+    singleton and no nodes give no clusters. Energies do not change during
+    a sweep, so the nodes are sorted once by ``elect_head``'s rule (most
+    energy first, ties to the lowest id) and each node still unassigned
+    when its turn comes becomes a head. That elects the same heads, in the
+    same order, as calling ``elect_head`` on the unassigned nodes again and
+    again, in O(N log N + E). Returned in election order, which is
+    deterministic for a given (energies, neighbors) pair.
     """
-    if not topology.nodes:
-        raise ValueError("topology is empty")
-    unassigned = set(topology.nodes)
+    unassigned = set(energies)
     clusters = []
-    for head in sorted(topology.nodes, key=lambda n: _election_key(n, energies)):
+    for head in sorted(energies, key=lambda n: _election_key(n, energies)):
         if head not in unassigned:
             continue
         unassigned.discard(head)
-        members = topology.neighbors(head) & unassigned
+        members = neighbors(head) & unassigned
         unassigned -= members
         clusters.append(Cluster(head, members))
     return clusters
@@ -114,19 +114,15 @@ def reform_cluster(sim, old_head: int, members) -> list[Cluster]:
     """Re-cluster the running ``members`` of a dead head's cluster.
 
     The old head becomes a depleted singleton; the members are re-swept over
-    their induced subgraph so the member-adjacent-to-head invariant survives.
-    The new clusters replace the old one's routes in the kernel's routing table.
+    their own neighbour sets, each limited to the running members, so the
+    member-adjacent-to-head invariant survives. No running member gives the
+    singleton alone. The new clusters replace the old one's routes in the
+    kernel's routing table.
     """
     sim.drop_cluster(old_head, members)
-    running = [m for m in sorted(members) if sim.devices[m].status is not DEPLETED]
-    new_clusters = []
-    if running:
-        nodes = frozenset(running)
-        edges = frozenset((m, nb) for m in running for nb in sim.devices[m].neighbors
-                          if m < nb and nb in nodes)
-        sub = Topology(nodes, edges)
-        energies = {m: sim.energy(m) for m in running}
-        new_clusters = form_clusters(sub, energies)
+    devices = sim.devices
+    energies = {m: sim.energy(m) for m in sorted(members) if devices[m].status is not DEPLETED}
+    new_clusters = form_clusters(energies, lambda m: devices[m].neighbors)
     new_clusters.append(Cluster(old_head))
     sim.install_clusters(new_clusters)
     return new_clusters

@@ -138,7 +138,7 @@ class Engine:
         mode = Mode(run.mode)  # an unknown mode name raises here
         self.dynamic = mode is DYNAMIC
         self.mode = mode.value  # the name every episode records
-        clusters = form_clusters(topo, self.sim.log.initial_energy)
+        clusters = form_clusters(self.sim.log.initial_energy, topo.neighbors)
         self.sim.install_clusters(clusters)
         self.kb = build_knowledge_base(scenario, capacities, clusters)
         self.controllers: dict[int, ClusterView] = {}
@@ -298,7 +298,7 @@ class Engine:
                 if cap > 0:
                     pairs.append((load, cap))
             totals[svc] = total
-            jain[svc] = metrics.jain_index_of_pairs(pairs) if pairs else Fraction(1)
+            jain[svc] = metrics.jain_index_of_pairs(pairs)
         return totals, jain
 
     # -- depletion / re-formation --

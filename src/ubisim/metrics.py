@@ -17,50 +17,29 @@ from .reconfig import CORRECTED, FAILED, PARTIAL, Outcome
 from .simkernel import RunLog
 
 
-def jain_index(values):
-    """Fairness of a list of non-negative ratios: (sum x)^2 / (n * sum x^2).
-
-    Lies in [1/n, 1] and equals 1 iff all entries are equal. An all-zero
-    list is perfectly balanced nothing and reports 1 by convention. The
-    result always has the type a true division of the inputs gives:
-    Fraction inputs stay exact, floats and ints give a float. A list of
-    Fractions is computed exactly by ``jain_index_of_pairs`` from each
-    value's numerator and denominator.
-    """
-    if all(isinstance(v, Fraction) for v in values):
-        return jain_index_of_pairs([(v.numerator, v.denominator) for v in values])
-    return _jain(values, operator.truediv)
-
-
 def jain_index_of_pairs(pairs):
     """Exact Jain index, as a Fraction, of the ratios load / capacity.
 
-    ``pairs`` holds integer (load, capacity) pairs with positive capacities.
-    The ratios are put over one common denominator D, the lcm of the
-    capacities, as x_i = a_i / D, so the index is T^2 / (n * S) with T the
-    sum of the integer numerators a_i and S the sum of their squares:
-    integer sums and a single Fraction at the end. An empty list gets
-    ``_jain``'s error, as an empty list of values does.
+    ``pairs`` holds integer (load, capacity) pairs with non-negative loads
+    and positive capacities. The index (sum x)^2 / (n * sum x^2) lies in
+    [1/n, 1] and is 1 iff all ratios are equal; no pairs, or no load, is
+    perfectly balanced nothing and gives 1. The ratios are put over one
+    common denominator D, the lcm of the capacities, as x_i = a_i / D, so
+    the index is T^2 / (n * S) with T the sum of the integer numerators a_i
+    and S the sum of their squares: integer sums and a single Fraction at
+    the end.
     """
     caps = [cap for _load, cap in pairs]
     if min(caps, default=1) <= 0:
         raise ValueError("jain_index capacities must be positive")
     common = math.lcm(*caps)
-    return _jain([load * (common // cap) for load, cap in pairs], Fraction)
-
-
-def _jain(values, divide):
-    """(sum x)^2 / (n * sum x^2) as ``divide`` gives it; 1 when every x is 0."""
-    if not values:
-        raise ValueError("jain_index needs at least one value")
-    if min(values) < 0:
+    values = [load * (common // cap) for load, cap in pairs]
+    if min(values, default=0) < 0:
         raise ValueError("jain_index values must be non-negative")
     total = sum(values)
     if total == 0:
-        one = total + 1
-        return divide(one, one)
-    squares = sum(map(operator.mul, values, values))
-    return divide(total * total, len(values) * squares)
+        return Fraction(1)
+    return Fraction(total * total, len(values) * sum(map(operator.mul, values, values)))
 
 
 def detection_stats(log: RunLog) -> dict:
@@ -84,19 +63,15 @@ def detection_stats(log: RunLog) -> dict:
 
 def energy_report(log: RunLog) -> dict:
     """Per-node consumed millijoules plus per-cluster variance of the same."""
-    consumed = {
-        nid: log.initial_energy[nid] - log.final_energy.get(nid, log.initial_energy[nid])
-        for nid in sorted(log.initial_energy)
-    }
+    initial, final = log.initial_energy, log.final_energy
+    consumed = {nid: initial[nid] - final[nid] for nid in sorted(initial)}
     # final cluster assignment wins when a cluster was re-formed mid-run
     latest: dict[int, tuple[int, ...]] = {}
     for _tick, head, members in log.cluster_records:
         latest[head] = members
     variance = {}
     for head in sorted(latest):
-        nodes = [head, *latest[head]]
-        values = [consumed[n] for n in nodes if n in consumed]
-        variance[head] = _pvariance(values) if values else 0.0
+        variance[head] = _pvariance([consumed[n] for n in (head, *latest[head])])
     return {"consumed": consumed, "cluster_variance": variance}
 
 

@@ -189,7 +189,7 @@ def apply_static(plan: ReconfigPlan, sim,
         dev = sim.devices[nid]
         if dev.status is RUNNING:
             dev.status = QUIESCED
-            sim.log.downtime[nid] = sim.log.downtime.get(nid, 0) + quiesce_ticks
+            sim.log.downtime[nid] += quiesce_ticks
             sim.emit(sim.clock, nid, "quiesce", f"ticks={quiesce_ticks}")
             sim.schedule(sim.clock + quiesce_ticks, Resume(nid))
     return apply_dynamic(plan, sim)

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .clustering import Topology
 from .model import EnergySpec, SimulationError
 
 
@@ -154,8 +155,6 @@ class Scenario:
 
     def topology(self):
         """The node graph; ``edges`` are already (low, high) pairs, as parsed."""
-        from .clustering import Topology
-
         return Topology(frozenset(n.id for n in self.nodes), frozenset(self.edges))
 
 

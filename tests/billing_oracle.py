@@ -3,8 +3,8 @@
 ``PerTickSimulation`` bills the way the kernel did before its billing went
 event-driven: every live device at every tick, in id order, with each
 tick's radio in that tick's own ``consume_energy`` call, and a device's
-charge read as it stands. ``compare`` runs one scenario on it and on the
-real kernel and lists what differs:
+charge read as it stands. ``compare`` runs one scenario on the real kernel
+and then on it, and lists what differs:
 
 - the trace, ``final_energy``, ``window_energy`` and ``total_debited``;
 - any bill the real kernel made off a window's last tick that was not
@@ -19,7 +19,7 @@ one sha256 and checks it against ``HOSTILE_DIGEST``, so drift on any of
 those seeds shows even where both kernels drift alike. Then it compares
 seeds 1-3 of each benchmark workload (``bench/scengen.py``: up to 1,600
 nodes, draining batteries) in both modes, outside the digest. It exits
-non-zero on any difference::
+non-zero on any difference, and prints its peak RSS last::
 
     PYTHONPATH=src python tests/billing_oracle.py
 """
@@ -27,7 +27,9 @@ non-zero on any difference::
 from __future__ import annotations
 
 import hashlib
+import resource
 import sys
+from functools import partial
 from pathlib import Path
 
 import ubisim.engine
@@ -45,12 +47,14 @@ HOSTILE_DIGEST = "93682653cc2a7f5046460de8d960389bed558e91b2c3f0ec6ae62a3b158812
 
 
 class PerTickSimulation(Simulation):
-    """The kernel with per-tick billing; ``charge[node, tick]`` is each live
-    device's charge after its bill for that tick."""
+    """The kernel with per-tick billing; ``charge[node, tick]`` is a live
+    device's charge after its bill for that tick, kept only for the
+    (node, tick) pairs of ``keep``."""
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, keep, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._radio: dict[int, dict[int, list[int]]] = {}  # tick -> node -> [tx, rx]
+        self._keep = keep
         self.charge: dict[tuple[int, int], int] = {}
 
     def _owe(self, node: int, tx: int, rx: int) -> None:
@@ -83,7 +87,8 @@ class PerTickSimulation(Simulation):
                 debit = consume_energy(dev, act, self.params)
                 self.log.total_debited += debit
                 self.window_acc[nid] += debit
-                self.charge[nid, tt] = dev.energy_mj
+                if (nid, tt) in self._keep:
+                    self.charge[nid, tt] = dev.energy_mj
                 if dev.status is Status.DEPLETED:
                     self.emit(tt, nid, "depleted", "")
                     self.on_depleted(nid)
@@ -113,8 +118,9 @@ class BillRecorder(Simulation):
 
 
 def run_on(kernel, text: str, mode: str | None = None):
-    """Run ``text`` (in ``mode``, if given) with ``kernel`` as the Engine's
-    Simulation; return the kernel and its log."""
+    """Run ``text`` (in ``mode``, if given) with ``kernel``, a Simulation
+    class or a factory of one, as the Engine's Simulation; return the kernel
+    and its log."""
     scenario = parse_scenario(text)
     if mode is not None:
         scenario.run.mode = mode
@@ -130,9 +136,10 @@ def run_on(kernel, text: str, mode: str | None = None):
 def compare(text: str, mode: str | None = None, digest=None) -> list[str]:
     """What differs between per-tick billing and the real kernel on ``text``.
     The real kernel's trace, ``final_energy``, ``cluster_records`` and report
-    are fed to ``digest``, if given."""
-    oracle, want = run_on(PerTickSimulation, text, mode)
+    are fed to ``digest``, if given. The oracle keeps the charge only where
+    the real kernel billed early, the only charges read here."""
     real, got = run_on(BillRecorder, text, mode)
+    oracle, want = run_on(partial(PerTickSimulation, keep=set(real.early)), text, mode)
     trace = got.serialize()
     if digest is not None:
         digest.update(f"{trace}\0{got.final_energy!r}\0{got.cluster_records!r}\0"
@@ -179,7 +186,14 @@ def main() -> int:
     for key, diffs in sorted(bench.items()):
         print(key, diffs)
     print(f"{6 * len(workloads)} benchmark runs compared, {len(bench)} differ")
+    print_peak_rss()
     return 1 if found or bench or digest.hexdigest() != HOSTILE_DIGEST else 0
+
+
+def print_peak_rss() -> None:
+    """Print this process's peak resident set size, as ``getrusage`` gives it
+    in KiB on Linux."""
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
 
 
 if __name__ == "__main__":

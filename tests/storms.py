@@ -14,7 +14,7 @@ the per-tick kernel under ``billing_oracle.compare``. The real kernel's
 trace, ``final_energy``, ``cluster_records`` and report of each storm are
 hashed into one sha256 per storm and checked against ``STORM_DIGESTS``, so
 drift at scale shows even where both kernels drift alike. It exits non-zero
-on any failure::
+on any failure, and prints its peak RSS last::
 
     PYTHONPATH=src python tests/storms.py
 """
@@ -26,7 +26,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from billing_oracle import compare
+from billing_oracle import compare, print_peak_rss
 from test_invariants import assert_run_keeps_invariants
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -85,6 +85,7 @@ def main() -> int:
         ok &= check(name, scengen.generate(name, 1), None, digest)
         print(f"{name}: digest {digest.hexdigest()}, recorded {STORM_DIGESTS[name]}")
         ok &= digest.hexdigest() == STORM_DIGESTS[name]
+    print_peak_rss()
     return 0 if ok else 1
 
 

@@ -90,6 +90,11 @@ class TestExitCodes:
         assert main(["repro", "--table", "7"]) == cli.EXIT_USAGE
         assert main(["run"]) == cli.EXIT_USAGE
 
+    def test_help_is_zero(self, capsys):
+        assert main(["--help"]) == cli.EXIT_OK
+        assert main(["run", "--help"]) == cli.EXIT_OK
+        assert "--scenario" in capsys.readouterr().out
+
     def test_parse_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("[services]\nname=P capacity=-3\n")

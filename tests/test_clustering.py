@@ -42,13 +42,12 @@ class TestElectHead:
 
 class TestFormClusters:
     def test_singleton(self):
-        topo = Topology(frozenset({7}), frozenset())
-        clusters = form_clusters(topo, {7: 100})
+        clusters = form_clusters({7: 100}, Topology(frozenset({7}), frozenset()).neighbors)
         assert clusters == [Cluster(head=7, members=frozenset())]
 
     def test_path_equal_energy(self):
         topo = Topology(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
-        clusters = form_clusters(topo, {0: 5, 1: 5, 2: 5})
+        clusters = form_clusters({0: 5, 1: 5, 2: 5}, topo.neighbors)
         assert clusters == [
             Cluster(head=0, members=frozenset({1})),
             Cluster(head=2, members=frozenset()),
@@ -57,12 +56,12 @@ class TestFormClusters:
     def test_complete_graph_single_cluster(self):
         nodes = set(range(5))
         edges = [(a, b) for a in nodes for b in nodes if a < b]
-        clusters = form_clusters(Topology(frozenset(nodes), frozenset(edges)), {n: 9 for n in nodes})
+        topo = Topology(frozenset(nodes), frozenset(edges))
+        clusters = form_clusters({n: 9 for n in nodes}, topo.neighbors)
         assert clusters == [Cluster(head=0, members=frozenset({1, 2, 3, 4}))]
 
-    def test_empty_topology_rejected(self):
-        with pytest.raises(ValueError):
-            form_clusters(Topology(frozenset(), frozenset()), {})
+    def test_no_nodes_give_no_clusters(self):
+        assert form_clusters({}, Topology(frozenset(), frozenset()).neighbors) == []
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -79,7 +78,7 @@ class TestFormClusters:
         topo = Topology(frozenset(nodes), frozenset(edges))
         rng = random.Random(energy_seed)
         energies = {i: rng.randint(0, 500) for i in nodes}
-        clusters = form_clusters(topo, energies)
+        clusters = form_clusters(energies, topo.neighbors)
         seen = [m for c in clusters for m in c.nodes]
         assert sorted(seen) == sorted(nodes)  # partition, each node once
         assert sum(1 + len(c.members) for c in clusters) == n
@@ -119,10 +118,25 @@ class TestSweepEquivalence:
     @settings(deadline=None, max_examples=150)
     def test_form_clusters_equals_repeated_election(self, graph):
         topo, energies = graph
-        clusters = form_clusters(topo, energies)
+        clusters = form_clusters(energies, topo.neighbors)
         assert clusters == reference_clusters(topo, energies)
         # deploy_agents relies on this: a 0 mJ head's members are all depleted
         assert all(energies[m] <= energies[c.head] for c in clusters for m in c.members)
+
+    @given(graphs_with_tied_energies(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_subset_sweep_equals_induced_topology(self, graph, data):
+        # re-formation sweeps a subset over the whole graph's neighbour sets;
+        # the reference builds the subset's induced topology and sweeps that
+        topo, energies = graph
+        subset = data.draw(st.sets(st.sampled_from(sorted(topo.nodes))))
+        sub_energies = {n: energies[n] for n in subset}
+        nodes = frozenset(subset)
+        edges = frozenset((m, nb) for m in subset for nb in topo.neighbors(m)
+                          if m < nb and nb in nodes)
+        induced = Topology(nodes, edges)
+        assert (form_clusters(sub_energies, topo.neighbors)
+                == form_clusters(sub_energies, induced.neighbors))
 
     @given(graphs_with_tied_energies())
     @settings(deadline=None, max_examples=100)
@@ -138,7 +152,7 @@ class TestSweepEquivalence:
     def test_callers_cannot_change_neighbors(self, graph):
         topo, energies = graph
         before = {n: set(topo.neighbors(n)) for n in topo.nodes}
-        clusters = form_clusters(topo, energies)
+        clusters = form_clusters(energies, topo.neighbors)
         for node in topo.nodes:
             with pytest.raises(AttributeError):
                 topo.neighbors(node).add(-1)
@@ -148,7 +162,7 @@ class TestSweepEquivalence:
             nbs |= {-1}  # rebinds the caller's name to a new set
             assert -1 not in topo.neighbors(node)
         assert {n: topo.neighbors(n) for n in topo.nodes} == before
-        assert form_clusters(topo, energies) == clusters
+        assert form_clusters(energies, topo.neighbors) == clusters
 
     def test_neighbors_of_unknown_node_is_empty(self):
         assert Topology(frozenset({0, 1}), frozenset({(0, 1)})).neighbors(5) == set()

@@ -42,7 +42,8 @@ def simple_kb(baselines=None, node=1, window=10, budget=0, tolerance=0.10):
 
 def scenario_kb(scenario):
     """The knowledge base an Engine builds for ``scenario``."""
-    clusters = form_clusters(scenario.topology(), {n.id: n.energy for n in scenario.nodes})
+    energies = {n.id: n.energy for n in scenario.nodes}
+    clusters = form_clusters(energies, scenario.topology().neighbors)
     return build_knowledge_base(scenario, scenario.capacities(), clusters)
 
 

@@ -11,7 +11,6 @@ from ubisim.metrics import (
     detection_stats,
     energy_report,
     format_summary,
-    jain_index,
     jain_index_of_pairs,
 )
 from ubisim.model import EnergySpec
@@ -23,76 +22,33 @@ from conftest import make_device, two_node_scenario
 
 class TestJainIndex:
     def test_equal_ratios_are_fair(self):
-        assert jain_index([0.5, 0.5, 0.5, 0.5]) == pytest.approx(1.0)
+        assert jain_index_of_pairs([(1, 2), (2, 4), (3, 6), (5, 10)]) == 1
 
     def test_single_hot_spot(self):
-        assert jain_index([1.0, 0, 0, 0]) == pytest.approx(0.25)
+        assert jain_index_of_pairs([(1, 1), (0, 1), (0, 1), (0, 1)]) == Fraction(1, 4)
 
     def test_two_value_example(self):
         # oracle: (0.8+0.4)^2 / (2 * (0.64+0.16)) = 1.44 / 1.6 = 0.9
-        assert jain_index([0.8, 0.4]) == pytest.approx(0.9, abs=1e-12)
-
-    def test_exact_with_fractions(self):
-        value = jain_index([Fraction(4, 5), Fraction(2, 5)])
+        value = jain_index_of_pairs([(4, 5), (2, 5)])
         assert value == Fraction(9, 10)
         assert isinstance(value, Fraction)
 
     def test_all_zero_convention(self):
-        assert jain_index([0, 0, 0]) == 1.0
+        assert jain_index_of_pairs([(0, 3), (0, 5), (0, 7)]) == Fraction(1)
 
-    @pytest.mark.parametrize(
-        "zeros, nonzero, kind",
-        [
-            ([Fraction(0), Fraction(0)], [Fraction(1, 2), Fraction(1, 4)], Fraction),
-            ([0.0, 0.0], [0.5, 0.25], float),
-            ([0, 0], [2, 1], float),
-        ],
-    )
-    def test_one_result_type_per_input_type(self, zeros, nonzero, kind):
-        assert type(jain_index(zeros)) is kind
-        assert type(jain_index(nonzero)) is kind
-        assert jain_index(zeros) == 1
+    def test_no_pairs_is_one(self):
+        value = jain_index_of_pairs([])
+        assert value == Fraction(1)
+        assert isinstance(value, Fraction)
 
-    @pytest.mark.parametrize("values, message", [
-        ([], "jain_index needs at least one value"),
-        ([0.5, -0.1], "jain_index values must be non-negative"),
-        ([2, -1], "jain_index values must be non-negative"),
-        ([Fraction(1, 2), Fraction(-1, 3)], "jain_index values must be non-negative"),
-    ], ids=["empty", "negative-float", "negative-int", "negative-fraction"])
-    def test_input_validation(self, values, message):
-        with pytest.raises(ValueError) as excinfo:
-            jain_index(values)
-        assert str(excinfo.value) == message
-
-    @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=20))
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1000),
+                              st.integers(min_value=1, max_value=1000)),
+                    min_size=1, max_size=20))
     @settings(deadline=None)
-    def test_bounds(self, values):
-        ratios = [Fraction(v, 1000) for v in values]
-        j = jain_index(ratios)
-        n = len(values)
-        assert Fraction(1, n) <= j <= 1
-        if len(set(values)) == 1 and values[0] > 0:
-            assert j == 1
-        if j == 1 and sum(values):
-            assert len(set(values)) == 1
-
-    @given(st.one_of(
-        st.lists(st.one_of(st.just(Fraction(0)),
-                           st.fractions(min_value=0, max_value=10**3,
-                                        max_denominator=10**6)),
-                 min_size=1, max_size=30),
-        st.lists(st.just(Fraction(0)), min_size=1, max_size=30),
-    ))
-    @settings(deadline=None)
-    def test_fractions_match_naive_formula(self, values):
-        total = sum(values, Fraction(0))
-        if total == 0:
-            naive = Fraction(1)
-        else:
-            naive = total ** 2 / (len(values) * sum(x * x for x in values))
-        j = jain_index(values)
-        assert j == naive
-        assert type(j) is Fraction
+    def test_pairs_bounds(self, pairs):
+        j = jain_index_of_pairs(pairs)
+        assert Fraction(1, len(pairs)) <= j <= 1
+        assert (j == 1) == (len({Fraction(load, cap) for load, cap in pairs}) == 1)
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10**4),
                               st.integers(min_value=1, max_value=10**4)),
@@ -110,14 +66,11 @@ class TestJainIndex:
         assert type(j) is Fraction
 
     @pytest.mark.parametrize("pairs, message", [
-        ([], "jain_index needs at least one value"),
         ([(1, 2), (-1, 3)], "jain_index values must be non-negative"),
         ([(1, 2), (1, 0)], "jain_index capacities must be positive"),
         ([(1, -2)], "jain_index capacities must be positive"),
-    ], ids=["empty", "negative-load", "zero-capacity", "negative-capacity"])
+    ], ids=["negative-load", "zero-capacity", "negative-capacity"])
     def test_pairs_validation(self, pairs, message):
-        # the message, not only the class: an empty list must not surface
-        # min()'s own "arg is an empty sequence"
         with pytest.raises(ValueError) as excinfo:
             jain_index_of_pairs(pairs)
         assert str(excinfo.value) == message

@@ -1,7 +1,8 @@
 """The runtime imports nothing outside the standard library; every module
 but the package's ``__init__``, and every test module, uses each name it
-imports; every name the package defines is used somewhere; and every field
-of its dataclasses is read somewhere."""
+imports; every name the package defines is used somewhere, and by the
+package or the benchmark, not by tests alone; and every field of its
+dataclasses is read somewhere."""
 
 import ast
 import importlib
@@ -217,6 +218,20 @@ def test_every_defined_name_is_used():
     dead = dead_names(modules, readers)
     assert [d for d in dead if not overrides_a_base(d[0], d[2])] == []
     assert unread_fields(modules, readers) == []
+
+
+# reference implementations the tests compare the package's own code against
+TEST_REFERENCES = {"elect_head"}
+
+
+def test_no_package_name_is_reached_only_by_tests():
+    # __init__ re-exports names for library users; it calls none of them
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    readers = sorted(BENCH.glob("*.py"))
+    assert len(modules) >= 9 and len(readers) >= 6
+    dead = dead_names(modules, readers)
+    assert [d for d in dead
+            if d[2] not in TEST_REFERENCES and not overrides_a_base(d[0], d[2])] == []
 
 
 def test_guard_flags_a_dead_name(tmp_path):
