@@ -60,6 +60,12 @@ class TestFormClusters:
         clusters = form_clusters({n: 9 for n in nodes}, topo.neighbors)
         assert clusters == [Cluster(head=0, members=frozenset({1, 2, 3, 4}))]
 
+    def test_node_outside_energies_does_not_bridge(self):
+        # 1 links 0 and 2 but is not swept, so 0 and 2 are not adjacent
+        topo = Topology(frozenset({0, 1, 2}), frozenset({(0, 1), (1, 2)}))
+        clusters = form_clusters({0: 5, 2: 5}, topo.neighbors)
+        assert clusters == [Cluster(head=0), Cluster(head=2)]
+
     def test_no_nodes_give_no_clusters(self):
         assert form_clusters({}, Topology(frozenset(), frozenset()).neighbors) == []
 
@@ -256,3 +262,25 @@ class TestReformCluster:
         new = reform_cluster(sim, 0, {1, 2})
         live_heads = [c.head for c in new if sim.devices[c.head].status is Status.RUNNING]
         assert live_heads == [2]
+
+    def test_depleted_member_and_outside_neighbours_do_not_bridge(self):
+        # head 0 dies; members 1 - 2 - 3 form a path whose middle is depleted,
+        # and 1 also links to 4, the head of another cluster
+        devs = [
+            make_device(0, neighbors={1, 2, 3}),
+            make_device(1, neighbors={0, 2, 4}, energy=500),
+            make_device(2, neighbors={0, 1, 3}),
+            make_device(3, neighbors={0, 2}, energy=400),
+            make_device(4, neighbors={1, 5}, energy=900),
+            make_device(5, neighbors={4}),
+        ]
+        sim = Simulation(devs, EnergySpec())
+        sim.install_clusters([Cluster(head=0, members=frozenset({1, 2, 3})),
+                              Cluster(head=4, members=frozenset({5}))])
+        for dead in (0, 2):
+            sim.devices[dead].status = Status.DEPLETED
+            sim.devices[dead].energy_mj = 0
+        new = reform_cluster(sim, 0, {1, 2, 3})
+        assert new == [Cluster(head=1), Cluster(head=3), Cluster(head=0)]
+        assert sim.head_of[4] == 4
+        assert sim.head_of[5] == 4

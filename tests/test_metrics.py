@@ -36,6 +36,37 @@ class TestJainIndex:
     def test_all_zero_convention(self):
         assert jain_index_of_pairs([(0, 3), (0, 5), (0, 7)]) == Fraction(1)
 
+    def test_exact_with_fractions(self):
+        # both ratios round to 1.0 as floats; the exact index is below 1
+        big = 10**17
+        value = jain_index_of_pairs([(big + 1, big), (1, 1)])
+        x = Fraction(big + 1, big)
+        assert value == (x + 1) ** 2 / (2 * (x * x + 1))
+        assert value < 1
+        assert isinstance(value, Fraction)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 3), (0, 5)],
+        [(7, 9)],
+        [(1, 2), (3, 6)],
+    ], ids=["zero-loads", "one-pair", "equal-ratios"])
+    def test_result_is_always_a_fraction(self, pairs):
+        # each case is 1, which an int or float would also equal
+        value = jain_index_of_pairs(pairs)
+        assert value == 1
+        assert type(value) is Fraction
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1000),
+                              st.integers(min_value=1, max_value=1000),
+                              st.integers(min_value=1, max_value=50)),
+                    min_size=1, max_size=20))
+    @settings(deadline=None)
+    def test_scaling_a_pair_keeps_the_index(self, triples):
+        # only the ratios count: (k*load, k*cap) is the same ratio as (load, cap)
+        pairs = [(load, cap) for load, cap, _k in triples]
+        scaled = [(k * load, k * cap) for load, cap, k in triples]
+        assert jain_index_of_pairs(scaled) == jain_index_of_pairs(pairs)
+
     def test_no_pairs_is_one(self):
         value = jain_index_of_pairs([])
         assert value == Fraction(1)
@@ -69,7 +100,9 @@ class TestJainIndex:
         ([(1, 2), (-1, 3)], "jain_index values must be non-negative"),
         ([(1, 2), (1, 0)], "jain_index capacities must be positive"),
         ([(1, -2)], "jain_index capacities must be positive"),
-    ], ids=["negative-load", "zero-capacity", "negative-capacity"])
+        ([(-1, 0)], "jain_index capacities must be positive"),
+    ], ids=["negative-load", "zero-capacity", "negative-capacity",
+            "zero-capacity-and-negative-load"])
     def test_pairs_validation(self, pairs, message):
         with pytest.raises(ValueError) as excinfo:
             jain_index_of_pairs(pairs)
