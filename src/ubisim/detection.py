@@ -89,25 +89,30 @@ class BehaviorSample:
     energy_drawn: int
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class DetectionVerdict:
     """One node-window's comparison result.
 
     ``overloaded`` holds each overloaded service in sample order; a service
     it does not hold is normal. ``alerted`` says whether the verdict is
-    non-normal, which is when the agent alerts. It is set once, at
-    construction, and takes no part in equality or the repr; callers must
-    not mutate it or any other field.
+    non-normal, which is when the agent alerts. It is set once, in the
+    class's own ``__init__`` (one frame, not two with ``__post_init__``), and
+    takes no part in equality or the repr; callers must not mutate any field.
     """
 
     node: int
     window: int
     overloaded: dict[Service, Overload]
-    energy_anomaly: EnergyAnomaly | None = None
-    alerted: bool = field(init=False, compare=False, repr=False)
+    energy_anomaly: EnergyAnomaly | None
+    alerted: bool = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.alerted = bool(self.overloaded) or self.energy_anomaly is not None
+    def __init__(self, node: int, window: int, overloaded: dict[Service, Overload],
+                 energy_anomaly: EnergyAnomaly | None = None) -> None:
+        self.node = node
+        self.window = window
+        self.overloaded = overloaded
+        self.energy_anomaly = energy_anomaly
+        self.alerted = bool(overloaded) or energy_anomaly is not None
 
 
 def build_knowledge_base(scenario, capacities, clusters) -> KnowledgeBase:

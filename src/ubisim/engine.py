@@ -166,9 +166,10 @@ class Engine:
     def _on_boundary(self, window: int) -> None:
         sim, kb = self.sim, self.kb
         devices, served, drawn = sim.devices, sim.served_snapshot, sim.window_acc
-        emit, record, clock = sim.emit, sim.log.verdicts.append, sim.clock
+        record = sim.log.verdicts.append
         samples = {}
         verdicts = {}
+        lines = []  # (host, details) of each verdict line, written in one call
         normal = f"window={window} normal"
         for host in sorted(self.agents):
             if devices[host].status is DEPLETED:
@@ -179,7 +180,7 @@ class Engine:
             verdicts[host] = verdict
             record(verdict)
             if not verdict.alerted:
-                emit(clock, host, "verdict", normal)
+                lines.append((host, normal))
                 continue
             detail = " ".join(
                 f"{svc}={o.observed}/{o.baseline}" for svc, o in verdict.overloaded.items()
@@ -187,7 +188,8 @@ class Engine:
             if verdict.energy_anomaly is not None:
                 a = verdict.energy_anomaly
                 detail = (detail + f" energy={a.drawn}/{a.expected}").strip()
-            emit(clock, host, "verdict", f"window={window} overload {detail}")
+            lines.append((host, f"window={window} overload {detail}"))
+        sim.emit_all(sim.clock, "verdict", lines)
         if self.pending:
             self._resolve_pending(window, samples)
         report_every = self.scenario.run.report_every

@@ -10,7 +10,7 @@ The energy costs are an ``EnergySpec``, the scenario's parsed ``[energy]``
 section itself: ``idle`` is charged once per tick a device is powered on,
 ``tx``/``rx`` once per message sent/received, and serving one request of a
 service costs ``request[service]``, else ``request_default``. The kernel,
-the knowledge base and ``energy_delta`` all read ``Scenario.energy`` and
+the knowledge base and ``consume_energy`` all read ``Scenario.energy`` and
 none of them mutates it.
 
 Functions read enum members through module constants bound next to the
@@ -27,6 +27,9 @@ Likewise the kernel builds its ``Event`` tuples through ``tuple.__new__``
 to skip the NamedTuple's Python-level constructor (see ``simkernel.Event``),
 and the per-event calls pass their arguments by position: a keyword-built
 ``Activity`` costs about twice a positional one (0.40 us against 0.20 us).
+Records read by field name are slots dataclasses: on 3.11-3.13, building a
+``Message`` and reading six fields costs 0.21-0.29 us, and 0.28-0.39 us as a
+NamedTuple built through ``tuple.__new__``, whose field reads are slower.
 """
 
 from __future__ import annotations
@@ -133,19 +136,8 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
     device.load[service] = device.load.get(service, 0) + n
 
 
-def energy_delta(activity: Activity, params: EnergySpec) -> int:
-    """Millijoules ``activity`` costs under ``params``, idle span included."""
-    delta = params.idle * activity.ticks
-    cost, default = params.request.get, params.request_default
-    for svc, count in activity.requests_served.items():
-        delta += cost(svc, default) * count
-    delta += params.tx * activity.msgs_tx
-    delta += params.rx * activity.msgs_rx
-    return delta
-
-
 def consume_energy(device: DeviceState, activity: Activity, params: EnergySpec) -> int:
-    """Debit ``activity`` from the device battery.
+    """Debit the cost of ``activity`` under ``params`` from the device battery.
 
     Returns the amount actually debited, which is the full activity cost
     unless the battery saturates first. A device that reaches zero charge
@@ -153,7 +145,12 @@ def consume_energy(device: DeviceState, activity: Activity, params: EnergySpec) 
     """
     if device.status is DEPLETED:
         raise DeviceUnavailable(f"node {device.id} is depleted")
-    debit = min(energy_delta(activity, params), device.energy_mj)
+    cost, default = params.request.get, params.request_default
+    delta = params.idle * activity.ticks + params.tx * activity.msgs_tx
+    delta += params.rx * activity.msgs_rx
+    for svc, count in activity.requests_served.items():
+        delta += cost(svc, default) * count
+    debit = min(delta, device.energy_mj)
     device.energy_mj -= debit
     if device.energy_mj == 0:
         device.status = DEPLETED

@@ -1,23 +1,27 @@
 """Deterministic discrete-event engine.
 
-A virtual integer clock, a (time, seq)-ordered event heap, and
+A virtual integer clock, a (time, seq)-ordered event queue, and
 neighbor-constrained message delivery. One Simulation instance is strictly
 single-threaded; identical (scenario, seed) pairs replay to byte-identical
 traces because every stochastic choice draws from the kernel's single seeded
 generator in dispatch order and every iteration over devices is id-sorted.
 
+The queue is a calendar queue (R. Brown, CACM 31(10), 1988): a dict from each
+tick to a deque of its events in seq order, and a heap of the distinct ticks,
+so scheduling or taking an event compares it with no other event.
+
 The trace is one line per happening, ``tick seq target kind details``,
-written only by ``Simulation.emit``. A dispatched event's line carries the
-seq it was scheduled with; every other line draws the next seq when it is
-written. Its target is the payload's own node: a message's receiver, the
-``node`` of a ``[workload]`` or ``[inject]`` line (the scenario's own
-``WorkloadItem`` or ``InjectItem``, scheduled as the payload), the node of a
-resume, and ``KERNEL`` for a window boundary. ``_dispatch`` delivers a
-``Message`` itself: a live receiver owes its rx and is passed to
-``on_message``, and a missing or depleted one makes a dead letter. A head's
-own report is a ``Message`` to itself, passed to ``on_message`` at once
-without the radio. The kernel never mutates a payload, so one ``Scenario``
-can be run twice.
+written only by the kernel. A dispatched event's line carries the seq it was
+scheduled with and is one f-string in ``_dispatch``, as is a ``send`` line;
+every other line draws the next seq in ``Simulation.emit`` or ``emit_all``.
+Its target is the payload's own node: a message's receiver, the ``node`` of
+a ``[workload]`` or ``[inject]`` line (the scenario's own ``WorkloadItem``
+or ``InjectItem``, scheduled as the payload), the node of a resume, and
+``KERNEL`` for a window boundary. ``_dispatch`` delivers a ``Message``
+itself: a live receiver owes its rx and is passed to ``on_message``, and a
+missing or depleted one makes a dead letter. A head's own report is a
+``Message`` to itself, passed to ``on_message`` at once without the radio.
+The kernel never mutates a payload, so one ``Scenario`` can be run twice.
 
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
@@ -49,6 +53,7 @@ from __future__ import annotations
 import itertools
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -112,9 +117,9 @@ Payload = Union[Message, WindowBoundary, WorkloadItem, InjectItem, Resume]
 
 
 class Event(NamedTuple):
-    """One scheduled happening and the heap entry itself, ordered by
-    (time, seq); the seq is unique, so payloads are never compared. The
-    payload is held, not copied, and dispatch only reads it.
+    """One scheduled happening, dispatched in (time, seq) order; the seq is
+    unique, and the queue never compares events. The payload is held, not
+    copied, and dispatch only reads it.
 
     ``Simulation.schedule`` builds each one with ``tuple.__new__(Event, ...)``:
     the NamedTuple's own ``__new__`` is a Python function that costs
@@ -225,7 +230,8 @@ class Simulation:
         self.drop_p = drop_p
         self.rng = random.Random(seed)
         self.clock = 0
-        self.queue: list[Event] = []  # a heapq
+        self._at: dict[int, deque[Event]] = {}  # the queue: tick -> its events in seq order
+        self._ticks: list[int] = []  # heap of the ticks of ``_at``
         self._next_seq = itertools.count().__next__
         self.log = RunLog()
         self._write = self.log.lines.append
@@ -260,17 +266,26 @@ class Simulation:
 
     # -- logging --
 
-    def emit(self, tick: int, target: Union[int, str], kind: str, details: str = "",
-             seq: Optional[int] = None) -> None:
-        """Append one trace line; a dispatched event passes its own ``seq``."""
-        if seq is None:
-            seq = self._next_seq()
+    def emit(self, tick: int, target: Union[int, str], kind: str, details: str = "") -> None:
+        """Append one trace line under the next seq."""
         if details:
-            self._write(f"{tick} {seq} {target} {kind} {details}")
+            self._write(f"{tick} {self._next_seq()} {target} {kind} {details}")
         else:
-            self._write(f"{tick} {seq} {target} {kind}")
+            self._write(f"{tick} {self._next_seq()} {target} {kind}")
+
+    def emit_all(self, tick: int, kind: str, rows) -> None:
+        """``emit`` each non-empty ``(target, details)`` of ``rows`` in order."""
+        write, next_seq = self._write, self._next_seq
+        for target, details in rows:
+            write(f"{tick} {next_seq()} {target} {kind} {details}")
 
     # -- scheduling and stepping --
+
+    @property
+    def queue(self) -> list[Event]:
+        """The pending events in dispatch order, as a new list. For inspection
+        only: a read costs time in the number queued, a step does not."""
+        return list(itertools.chain.from_iterable([self._at[t] for t in sorted(self._at)]))
 
     def schedule(self, time: int, payload: Payload) -> Event:
         """Enqueue a payload for dispatch at ``time``; FIFO within a tick. The
@@ -278,18 +293,28 @@ class Simulation:
         if time < self.clock:
             raise PastEvent(f"cannot schedule at t={time}, clock is {self.clock}")
         ev = tuple.__new__(Event, (time, self._next_seq(), payload))
-        heapq.heappush(self.queue, ev)
+        events = self._at.get(time)
+        if events is None:
+            self._at[time] = deque((ev,))
+            heapq.heappush(self._ticks, time)
+        else:
+            events.append(ev)
         return ev
 
     def step(self) -> Optional[Event]:
         """Process the minimal (time, seq) event; None when idle."""
-        if not self.queue:
+        ticks = self._ticks
+        if not ticks:
             return None
-        ev = heapq.heappop(self.queue)
-        if ev.time > self.clock:
-            self._flush_through(ev.time - 1)
+        time = ticks[0]
+        events = self._at[time]
+        ev = events.popleft()
+        if not events:
+            del self._at[heapq.heappop(ticks)]
+        if time > self.clock:
+            self._flush_through(time - 1)
             self._open = {}
-            self.clock = ev.time
+            self.clock = time
         self._dispatch(ev)
         return ev
 
@@ -297,8 +322,8 @@ class Simulation:
         """Step until the queue is empty or the next event is past ``t_end``."""
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before clock={self.clock}")
-        queue, step = self.queue, self.step
-        while queue and queue[0][0] <= t_end:
+        ticks, step = self._ticks, self.step
+        while ticks and ticks[0] <= t_end:
             step()
         self._flush_through(min(t_end, self.horizon) - 1)
         self.log.final_energy = {nid: self.energy(nid) for nid in self._ids}
@@ -323,7 +348,7 @@ class Simulation:
             self.log.drops += 1
             self.emit(clock, KERNEL, "drop", f"from={sender} to={receiver} kind={kind}")
             return
-        self.emit(clock, sender, "send", f"to={receiver} kind={kind}")
+        self._write(f"{clock} {self._next_seq()} {sender} send to={receiver} kind={kind}")
         self.schedule(clock + self.latency, Message(sender, receiver, kind, payload))
 
     def local_deliver(self, node: int, kind: str, payload: object = None) -> None:
@@ -484,10 +509,10 @@ class Simulation:
     def _dispatch(self, ev: Event) -> None:
         """Write the event's trace line under its own seq, then apply it; a
         message is delivered here (see the module docstring)."""
-        p = ev.payload
+        time, seq, p = ev
         if isinstance(p, Message):
-            time, receiver, kind = ev.time, p.receiver, p.kind
-            self.emit(time, receiver, "deliver", f"from={p.sender} kind={kind}", ev.seq)
+            receiver, kind = p.receiver, p.kind
+            self._write(f"{time} {seq} {receiver} deliver from={p.sender} kind={kind}")
             dev = self.devices.get(receiver)
             if dev is None or dev.status is DEPLETED:
                 self.log.dead_letters += 1
@@ -496,17 +521,17 @@ class Simulation:
             self._owe(receiver, 0, 1)
             self.on_message(p)
         elif isinstance(p, WorkloadItem):
-            self.emit(ev.time, p.node, "arrival", f"service={p.service} n={p.n}", ev.seq)
+            self._write(f"{time} {seq} {p.node} arrival service={p.service} n={p.n}")
             self._apply_arrival(p.node, p.service, p.n, False)
         elif isinstance(p, InjectItem):
-            self.emit(ev.time, p.node, "inject", f"service={p.service} amount={p.load}", ev.seq)
+            self._write(f"{time} {seq} {p.node} inject service={p.service} amount={p.load}")
             self._apply_arrival(p.node, p.service, p.load, True)
         elif isinstance(p, WindowBoundary):
-            self.emit(ev.time, KERNEL, "boundary", f"window={p.window}", ev.seq)
+            self._write(f"{time} {seq} {KERNEL} boundary window={p.window}")
             self.on_boundary(p.window)
             self._close_window(p.window)
         elif isinstance(p, Resume):
-            self.emit(ev.time, p.node, "resume", "", ev.seq)
+            self._write(f"{time} {seq} {p.node} resume")
             dev = self.devices[p.node]
             if dev.status is QUIESCED:
                 dev.status = RUNNING

@@ -10,7 +10,6 @@ from ubisim.model import (
     UnknownService,
     apply_requests,
     consume_energy,
-    energy_delta,
 )
 
 from conftest import make_device
@@ -76,10 +75,10 @@ class TestConsumeEnergy:
         assert dev.energy_mj == 999
 
     def test_mixed_activity(self, params):
-        # oracle: 1 idle + 3 requests * 5 + 2 tx * 2 + 1 rx * 1 = 21
+        # oracle: 1 idle + 3 requests * 5 + 2 tx * 2 + 1 rx * 1 = 21; 1000 mJ
+        # cannot saturate, so the debit is the whole cost
         dev = make_device(energy=1000)
         act = Activity(requests_served={"Print": 3}, msgs_tx=2, msgs_rx=1)
-        assert energy_delta(act, params) == 21
         delta = consume_energy(dev, act, params)
         assert delta == 21
         assert dev.energy_mj == 979
@@ -100,7 +99,8 @@ class TestConsumeEnergy:
     def test_per_service_cost_override(self):
         params = EnergySpec(request={"Scan": 9}, request_default=5)
         act = Activity(requests_served={"Scan": 2, "Print": 1})
-        assert energy_delta(act, params) == 1 + 18 + 5
+        dev = make_device(energy=1000)  # cannot saturate: the debit is the whole cost
+        assert consume_energy(dev, act, params) == 1 + 18 + 5
 
     @given(
         activities=st.lists(

@@ -1,6 +1,9 @@
+import heapq
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubisim.clustering import Cluster
 from ubisim.engine import run_scenario
@@ -104,9 +107,12 @@ class TestQueueOrdering:
     def test_past_event_rejected(self):
         sim = two_node_sim()
         sim.schedule(7, NOOP)
+        kept = sim.schedule(9, NOOP)
         sim.step()
         with pytest.raises(PastEvent):
             sim.schedule(3, NOOP)
+        assert sim.queue == [kept]  # the rejected event left the queue as it was
+        assert sim.step() is kept and sim.step() is None
 
     def test_processed_order_strictly_increasing(self):
         sim = two_node_sim()
@@ -117,6 +123,82 @@ class TestQueueOrdering:
         assert [tick for tick, _seq in order] == [1, 1, 4, 4, 9]
         assert order == sorted(order)
         assert len(set(order)) == len(order)
+
+
+# each op: ("schedule", delay) enqueues an event ``delay`` ticks after the
+# clock; ("nested", delay) enqueues one whose dispatch enqueues another
+# ``delay`` ticks after the clock at that dispatch; ("step", 0) takes one
+QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "nested"]), st.integers(0, 3)),
+        st.just(("step", 0)),
+    ),
+    max_size=60,
+)
+
+
+class TestCalendarQueue:
+    """Dispatch order is exactly what a heap of (time, seq) gives."""
+
+    @given(ops=QUEUE_OPS)
+    @settings(deadline=None)
+    def test_dispatch_order_equals_heapq(self, ops):
+        sim = two_node_sim(horizon=1_000)
+        ref = []  # heapq of the (time, seq) of each event scheduled and not yet popped
+        want = []  # (time, seq) in heapq pop order
+
+        def enqueue(delay, payload):
+            ev = sim.schedule(sim.clock + delay, payload)
+            heapq.heappush(ref, (ev.time, ev.seq))
+
+        # a dispatched message carries the delay of the event it enqueues
+        sim.on_message = lambda msg: enqueue(msg.payload, NOOP)
+        for op, delay in ops:
+            if op == "schedule":
+                enqueue(delay, NOOP)
+            elif op == "nested":
+                enqueue(delay, Message(0, 1, "report", delay))
+            else:
+                ev = sim.step()
+                if ref:
+                    want.append(heapq.heappop(ref))
+                    assert (ev.time, ev.seq) == want[-1] and sim.clock == ev.time
+                else:
+                    assert ev is None
+        assert [(ev.time, ev.seq) for ev in sim.queue] == sorted(ref)
+        sim.run_until(sim.horizon)
+        want += [heapq.heappop(ref) for _ in range(len(ref))]
+        rows = map(str.split, sim.log.lines)
+        assert [(int(tick), int(seq)) for tick, seq, _node, kind, *_ in rows
+                if kind in ("resume", "deliver")] == want
+
+    def test_event_at_current_tick_during_dispatch_goes_last(self):
+        sim = two_node_sim()
+        first = sim.schedule(5, Message(0, 1, "report"))
+        second = sim.schedule(5, Message(0, 1, "report"))
+        later = sim.schedule(6, NOOP)
+        added = []
+        sim.on_message = lambda msg: added.append(sim.schedule(sim.clock, NOOP))
+        assert sim.step() is first
+        assert sim.queue == [second, added[0], later]
+        assert sim.step() is second  # the tick's last queued event enqueues one more
+        assert sim.queue == [added[0], added[1], later]
+        assert [sim.step() for _ in range(3)] == [added[0], added[1], later]
+        assert sim.clock == 6 and sim.step() is None
+
+    def test_staged_run_until_resumes_pending_events(self):
+        sim = two_node_sim()
+        evs = [sim.schedule(t, NOOP) for t in (3, 30, 3, 31, 30)]
+        sim.run_until(10)
+        assert sim.clock == 3
+        assert sim.queue == [evs[1], evs[4], evs[3]]
+        late = sim.schedule(10, NOOP)  # at t_end, after the clock
+        sim.run_until(30)
+        assert sim.clock == 30 and sim.queue == [evs[3]]
+        sim.run_until(40)
+        assert sim.queue == [] and sim.step() is None
+        assert event_lines(sim.log, "resume") == [
+            (ev.time, ev.seq) for ev in (evs[0], evs[2], late, evs[1], evs[4], evs[3])]
 
 
 class TestSend:
