@@ -79,6 +79,10 @@ class KnowledgeBase:
         return self.capacities[node][service]
 
 
+# The ``overloaded`` map of every verdict that overloads nothing. Never mutated.
+NOTHING_OVERLOADED: dict[Service, Overload] = {}
+
+
 @dataclass(slots=True)
 class BehaviorSample:
     """One window's observed per-service load and energy draw for a node."""
@@ -93,11 +97,12 @@ class BehaviorSample:
 class DetectionVerdict:
     """One node-window's comparison result.
 
-    ``overloaded`` holds each overloaded service in sample order; a service
-    it does not hold is normal. ``alerted`` says whether the verdict is
-    non-normal, which is when the agent alerts. It is set once, in the
-    class's own ``__init__`` (one frame, not two with ``__post_init__``), and
-    takes no part in equality or the repr; callers must not mutate any field.
+    ``overloaded`` holds each overloaded service in sample order, or is the
+    shared ``NOTHING_OVERLOADED``; a service it does not hold is normal.
+    ``alerted`` says whether the verdict is non-normal, which is when the
+    agent alerts. It is set once, in the class's own ``__init__`` (one frame,
+    not two with ``__post_init__``), and takes no part in equality or the
+    repr; callers must not mutate any field.
     """
 
     node: int
@@ -145,7 +150,7 @@ def collect(host: int, window: int, observed: dict[Service, int],
     """Package the window's served load and energy draw for ``host``.
 
     ``observed`` becomes the sample's own field, not a copy: it is the
-    node-window's one served dict, which no holder mutates in place.
+    node-window's served sample, which no holder mutates in place.
     """
     return BehaviorSample(host, window, observed, energy_drawn)
 
@@ -158,7 +163,7 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     anomalous iff it exceeds ``expected * (1 + tolerance)``, compared in
     integers, so a draw exactly at that limit is normal. One walk over the
     served dict decides each service's overload and sums the expected
-    energy.
+    energy. A verdict that overloads nothing holds ``NOTHING_OVERLOADED``.
     """
     node = sample.node
     caps = kb.capacities.get(node)
@@ -177,7 +182,7 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
     drawn, den = sample.energy_drawn, kb._tol_den
     if drawn * den > expected * (den + kb._tol_num):
         anomaly = EnergyAnomaly(drawn=drawn, expected=expected)
-    return DetectionVerdict(node, sample.window, overloaded, anomaly)
+    return DetectionVerdict(node, sample.window, overloaded or NOTHING_OVERLOADED, anomaly)
 
 
 def report_alert(host: int, verdict: DetectionVerdict,

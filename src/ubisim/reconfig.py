@@ -49,8 +49,8 @@ class ClusterView:
     def observe(self, node: int, load: dict[Service, int], window: int) -> None:
         """Take ``load`` as the node's last-known load, without copying it.
 
-        ``load`` is a node-window's one served dict, shared with the sample
-        and the run log, so the view never mutates it in place.
+        ``load`` is a node-window's served sample, shared with the sample,
+        the run log and equal later samples, so the view never mutates it.
         """
         entry = self.entries[node]
         entry.load = load

@@ -74,6 +74,9 @@ from .scenario import InjectItem, WorkloadItem
 
 KERNEL = "KERNEL"
 
+# The served sample of every depleted node-window; see ``RunLog``. Never mutated.
+NOTHING_SERVED: dict[Service, int] = {}
+
 
 class PastEvent(SimulationError):
     """An event was scheduled before the current clock."""
@@ -156,10 +159,13 @@ class RunLog:
     the typed lists mirror the protocol-level happenings for the metrics
     module. Serialization is deterministic, so equal logs mean equal runs.
 
-    ``window_served[node][window]`` is the one served dict of that
-    node-window: the sample, the agent's report, the controller's view and
-    the window-end bill hold the same object, and none of them mutates it in
-    place.
+    ``window_served[node][window]`` is that node-window's served sample,
+    which the agent's sample and report, the controller's view and the
+    window-end bill share and none of them mutates in place. A sample equal
+    to the node's last archived one is that dict again, and every depleted
+    node-window holds ``NOTHING_SERVED``. Equal samples of one device
+    iterate alike: their keys are its ``load`` keys, set once in capacity
+    order and never deleted.
     ``verdicts`` holds each compared node-window's ``DetectionVerdict``
     itself, the object the agent reported, in boundary and host order.
     """
@@ -472,7 +478,8 @@ class Simulation:
                     heapq.heappush(depletions, (tick - (-dev.energy_mj // idle), nid))
 
     def _bill_tick(self, tt: int) -> None:
-        """Bill, in id order, every device that must be billed at ``tt``."""
+        """Bill, in id order, every device that must be billed at ``tt``; at a
+        window's last tick, keep each live device's served sample (see ``RunLog``)."""
         self._flushed_through = tt - 1
         depletions = self._depletions
         due = set()
@@ -481,6 +488,7 @@ class Simulation:
         window_last = (tt + 1) % self.window == 0
         billed = self._ids if window_last else sorted(due)
         devices, owed, served, bill = self.devices, self._owed, self.served_snapshot, self._bill
+        archive = self.log.window_served
         for nid in billed:
             dev = devices[nid]
             status = dev.status
@@ -488,12 +496,14 @@ class Simulation:
                 continue
             tx, rx, _left = owed[nid]
             if window_last and status is RUNNING:
-                act = Activity(dict(dev.load), tx, rx)
-                served[nid] = act.requests_served
+                kept, load = archive[nid], dev.load
+                served[nid] = sample = kept[-1] if kept and kept[-1] == load else dict(load)
+                act = Activity(sample, tx, rx)
             else:
                 act = Activity({}, tx, rx)
                 if window_last:  # quiesced devices serve nothing
-                    served[nid] = dict.fromkeys(dev.load, 0)
+                    kept, sample = archive[nid], dict.fromkeys(dev.load, 0)
+                    served[nid] = kept[-1] if kept and kept[-1] == sample else sample
             self._cursor = nid
             bill(dev, act, tt)
             if dev.status is DEPLETED:
@@ -560,15 +570,16 @@ class Simulation:
     def _close_window(self, window: int) -> None:
         """Archive the window's energy and served samples; reset the accumulators.
 
-        Each served dict is archived as the object ``_bill_tick`` built, not a
-        copy; nothing mutates it afterwards. Device loads carry over to the
+        Each served sample is archived as the object ``_bill_tick`` kept, not
+        a copy, and a node it skipped as depleted archives ``NOTHING_SERVED``;
+        nothing mutates either afterwards. Device loads carry over to the
         next window as they stand.
         """
         window_energy, window_served = self.log.window_energy, self.log.window_served
         drawn, served = self.window_acc, self.served_snapshot
         for nid in self._ids:
             window_energy[nid].append(drawn[nid])
-            window_served[nid].append(served[nid] if nid in served else {})
+            window_served[nid].append(served.get(nid, NOTHING_SERVED))
         self.window_acc = dict.fromkeys(self._ids, 0)
         self.served_snapshot = {}
         self.log.windows_completed = window + 1

@@ -17,6 +17,7 @@ from ubisim.reconfig import Outcome
 from ubisim.scenario import InjectItem, WorkloadItem, parse_scenario
 from ubisim.simkernel import Simulation
 
+from conftest import two_node_scenario
 from test_invariants import REROUTED_SEEDS, hostile_scenario_text
 from test_stdlib_only import PACKAGE, parse_all
 from test_trace_digests import BUNDLED
@@ -119,10 +120,12 @@ class TestDepletedAtStart:
 
 class TestOneOwnerPerFact:
     # hostile seed 3 migrates load in static mode and loses arrivals to a
-    # quiesced node; TRIANGLE re-forms its cluster after head 0 depletes
+    # quiesced node; TRIANGLE re-forms its cluster after head 0 depletes;
+    # hostile seed 37 plans six corrections and has depleted node-windows
     SCENARIOS = {
         "table3": bundled_scenario_text(),
         "hostile_3": hostile_scenario_text(3),
+        "hostile_37": hostile_scenario_text(37),
         "triangle": TRIANGLE,
     }
 
@@ -163,6 +166,30 @@ class TestOneOwnerPerFact:
         # dispatch only reads them, so the same scenario replays
         first = engine.run().serialize()
         assert Engine(scenario).run().serialize() == first
+
+    def test_a_migration_starts_a_new_served_sample(self):
+        # node 1's window-1 overload moves 77 View requests to node 0 at t=21
+        _report, log = run_scenario(two_node_scenario(200))
+        dest, source = log.window_served[0], log.window_served[1]
+        assert dest == [{"View": 0}, {"View": 0}, {"View": 77}]
+        assert source == [{"View": 0}, {"View": 200}, {"View": 123}]
+        assert dest[0] is dest[1] and dest[2] is not dest[1]
+        assert len({id(sample) for sample in source}) == 3
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static"])
+    @pytest.mark.parametrize("name", ["table3", "hostile_37"])
+    def test_normal_verdicts_share_one_empty_overload_map(self, name, mode):
+        scenario = parse_scenario(self.SCENARIOS[name])
+        scenario.run.mode = mode
+        _report, log = run_scenario(scenario)
+        normal = [v for v in log.verdicts if not v.overloaded]
+        assert normal and len(normal) < len(log.verdicts)
+        assert all(v.overloaded is detection.NOTHING_OVERLOADED for v in normal)
+        depleted = [s for served in log.window_served.values() for s in served
+                    if s is simkernel.NOTHING_SERVED]
+        assert bool(depleted) == (name == "hostile_37")
+        # nothing filled either shared map in place
+        assert detection.NOTHING_OVERLOADED == {} and simkernel.NOTHING_SERVED == {}
 
 
 class TestStaleViewDeferral:

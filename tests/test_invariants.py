@@ -12,9 +12,14 @@ after, as a singleton. ``assert_run_keeps_invariants`` checks all of this
 for one scenario text, so any generator can feed it; ``tests/storms.py``
 runs it on large re-formation storms.
 
-A node-window's served dict is one object shared by the sample, the
-controller's view and ``RunLog.window_served``; the overloads every verdict
-saw must still be what the log archived, here and on the bundled scenarios.
+A node-window's served sample is one object shared by the agent's sample,
+the controller's view and ``RunLog.window_served``, and by later windows of
+its node that served the same load; the overloads every verdict saw must
+still be what the log archived, here and on the bundled scenarios. Sharing
+an equal sample keeps the trace bytes only while every device's load keys
+are its capacity keys in capacity order, and every sample archived for it
+has those keys in that order or is the one ``NOTHING_SERVED``; every run
+checks both.
 There too, an episode that moved nothing keeps its before totals and Jain
 indices as its after ones, and every live controller's view holds its
 cluster's nodes in id order.
@@ -28,7 +33,7 @@ from ubisim.cli import bundled_scenario_text
 from ubisim.engine import Engine, run_scenario
 from ubisim.model import Status
 from ubisim.scenario import parse_scenario
-from ubisim.simkernel import Simulation
+from ubisim.simkernel import NOTHING_SERVED, Simulation
 
 from test_trace_digests import BUNDLED
 
@@ -171,6 +176,18 @@ def assert_overloads_match_served(log):
             assert o.observed == served[svc], (v.node, v.window, svc)
 
 
+def assert_samples_keep_key_order(engine, log):
+    """Each device's load keys are its capacity keys, in capacity order, and
+    each served sample its node archived is ``NOTHING_SERVED`` or has those
+    keys in that order, so equal samples iterate alike."""
+    assert NOTHING_SERVED == {}
+    for nid, dev in engine.sim.devices.items():
+        keys = list(dev.capacities)
+        assert list(dev.load) == keys, nid
+        for window, sample in enumerate(log.window_served[nid]):
+            assert sample is NOTHING_SERVED or list(sample) == keys, (nid, window)
+
+
 def assert_correction_bookkeeping(engine, log):
     """Episodes' books and the controllers' views are consistent.
 
@@ -200,9 +217,10 @@ def assert_correction_bookkeeping(engine, log):
 def assert_run_keeps_invariants(text, mode=None):
     """Run scenario ``text`` (in ``mode``, if given) and check every run
     invariant: the energy ledger, load conservation in dynamic plans,
-    non-negative demand, the correction books and controller views, the
-    message count, no stray head at any boundary, and no depleted node
-    installed again as the head of anything but its own singleton."""
+    non-negative demand, the served samples' key order, the correction books
+    and controller views, the message count, no stray head at any boundary,
+    and no depleted node installed again as the head of anything but its own
+    singleton."""
     scenario = parse_scenario(text)
     if mode is not None:
         scenario.run.mode = mode
@@ -220,6 +238,7 @@ def assert_run_keeps_invariants(text, mode=None):
     sim = engine.sim
     assert all(v >= 0 for dev in sim.devices.values() for v in dev.load.values())
     assert_overloads_match_served(log)
+    assert_samples_keep_key_order(engine, log)
     assert_correction_bookkeeping(engine, log)
 
     run = scenario.run
@@ -244,6 +263,7 @@ def test_bundled_overloads_match_served(name, mode):
     engine = Engine(scenario)
     log = engine.run()
     assert_overloads_match_served(log)
+    assert_samples_keep_key_order(engine, log)
     assert_correction_bookkeeping(engine, log)
 
 

@@ -58,7 +58,8 @@ def brute_force_min_residual(excess, spares):
 class TestClusterView:
     def test_adjust_leaves_the_observed_dict_unchanged(self):
         # the observed dict is the node-window's served sample, shared with
-        # the run log; a directive folded back must not rewrite it
+        # the run log and with later windows of the node that served the same
+        # load; a directive folded back must not rewrite it
         view = view_of({0: ({"S": 10}, {"S": 0}), 1: ({"S": 10}, {"S": 0})})
         served_0, served_1 = {"S": 14}, {"S": 2}
         view.observe(0, served_0, window=3)

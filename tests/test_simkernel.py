@@ -10,6 +10,7 @@ from ubisim.engine import run_scenario
 from ubisim.model import EnergySpec, Status
 from ubisim.scenario import WorkloadItem, parse_scenario
 from ubisim.simkernel import (
+    NOTHING_SERVED,
     Event,
     Message,
     PastEvent,
@@ -337,3 +338,57 @@ def test_window_boundary_resets_and_reseeds():
     # served snapshot archived; the load, which is the standing demand, carries over
     assert sim.log.window_served[1] == [{"Print": 4}]
     assert sim.devices[1].load == {"Print": 4}
+
+
+def windowed_sim(windows):
+    """``two_node_sim`` with a boundary closing each of ``windows`` 10-tick windows."""
+    sim = two_node_sim(horizon=10 * windows, window=10)
+    for k in range(windows):
+        sim.schedule(10 * (k + 1), WindowBoundary(k))
+    return sim
+
+
+class TestServedSamples:
+    """A node-window's served sample is kept once: a window that served
+    what its node's last archived sample holds archives that same dict."""
+
+    def test_equal_windows_share_one_sample_and_an_arrival_starts_another(self):
+        sim = windowed_sim(5)
+        sim.schedule(3, WorkloadItem(3, 1, "Print", 4))
+        sim.schedule(15, WorkloadItem(15, 1, "Print", 0))  # changes nothing
+        sim.schedule(25, WorkloadItem(25, 1, "Print", 2))
+        sim.run_until(50)
+        served = sim.log.window_served[1]
+        assert served == [{"Print": 4}, {"Print": 4}, {"Print": 6}, {"Print": 6}, {"Print": 6}]
+        assert served[0] is served[1] and served[2] is served[3] is served[4]
+        assert served[1] is not served[2]
+        assert all(sample is not sim.devices[1].load for sample in served)
+        # node 0 served nothing in every window, which is one sample too
+        assert sim.log.window_served[0][0] == {"Print": 0}
+        assert all(s is sim.log.window_served[0][0] for s in sim.log.window_served[0])
+
+    def test_quiesced_windows_share_their_zero_sample(self):
+        sim = windowed_sim(5)
+        sim.schedule(3, WorkloadItem(3, 1, "Print", 4))
+        sim.run_until(12)
+        sim.devices[1].status = Status.QUIESCED
+        sim.schedule(42, Resume(1))  # after window 3's last tick
+        sim.run_until(50)
+        served = sim.log.window_served[1]
+        assert served == [{"Print": 4}, {"Print": 0}, {"Print": 0}, {"Print": 0}, {"Print": 4}]
+        assert served[1] is served[2] is served[3]
+        assert served[4] is not served[0] and served[4] is not served[1]
+        assert sim.devices[1].load == {"Print": 4}
+
+    def test_depleted_windows_hold_the_one_empty_sample(self):
+        # one idle mJ a tick: node 1 depletes at tick 14, node 2 at tick 4
+        devs = [make_device(0), make_device(1, energy=15), make_device(2, energy=5)]
+        sim = Simulation(devs, EnergySpec(), window=10, horizon=40)
+        for k in range(4):
+            sim.schedule(10 * (k + 1), WindowBoundary(k))
+        sim.run_until(40)
+        served = sim.log.window_served
+        assert served[1][0] == {"Print": 0}
+        assert all(s is NOTHING_SERVED for s in served[1][1:] + served[2])
+        assert len(served[1]) == len(served[2]) == 4
+        assert NOTHING_SERVED == {}
