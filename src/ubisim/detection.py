@@ -67,8 +67,8 @@ class KnowledgeBase:
     capacities: dict[int, dict[Service, int]]
     params: EnergySpec
     window: int
+    energy_tolerance: float
     msg_budget: dict[int, int] = field(default_factory=dict)
-    energy_tolerance: float = 0.10
 
     def __post_init__(self) -> None:
         tolerance = Fraction(str(self.energy_tolerance))
@@ -186,7 +186,7 @@ def control_compare(sample: BehaviorSample, kb: KnowledgeBase) -> DetectionVerdi
 
 
 def report_alert(host: int, verdict: DetectionVerdict,
-                 sample: BehaviorSample, sim, report_every: int = 1) -> str:
+                 sample: BehaviorSample, sim, report_every: int) -> str:
     """Send the window's verdict from ``host`` to its cluster head.
 
     Non-normal verdicts always go out as an alert; all-normal windows send a

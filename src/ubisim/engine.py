@@ -283,8 +283,8 @@ class Engine:
 
     def _balance(self, nodes, services):
         """Per service: the total load over ``nodes`` and the exact Jain index
-        of their load/capacity ratios, nodes without capacity left out of the
-        index but not the total. One walk over the nodes per service gives
+        of their load/capacity ratios. Every node offers every service, at a
+        capacity of at least 1. One walk over the nodes per service gives
         both."""
         devices = self.sim.devices
         totals: dict[Service, int] = {}
@@ -294,11 +294,9 @@ class Engine:
             pairs = []
             for n in nodes:
                 d = devices[n]
-                load = d.load.get(svc, 0)
+                load = d.load[svc]
                 total += load
-                cap = d.capacities.get(svc, 0)
-                if cap > 0:
-                    pairs.append((load, cap))
+                pairs.append((load, d.capacities[svc]))
             totals[svc] = total
             jain[svc] = metrics.jain_index_of_pairs(pairs)
         return totals, jain

@@ -9,9 +9,10 @@ is permanently depleted.
 The energy costs are an ``EnergySpec``, the scenario's parsed ``[energy]``
 section itself: ``idle`` is charged once per tick a device is powered on,
 ``tx``/``rx`` once per message sent/received, and serving one request of a
-service costs ``request[service]``, else ``request_default``. The kernel,
-the knowledge base and ``consume_energy`` all read ``Scenario.energy`` and
-none of them mutates it.
+service costs ``request[service]``, else ``request_default``. The field
+metadata are the section's bounds (see ``scenario``). The kernel, the
+knowledge base and ``consume_energy`` all read ``Scenario.energy`` and none
+of them mutates it.
 
 Functions read enum members through module constants bound next to the
 enum: ``RUNNING``, ``QUIESCED`` and ``DEPLETED`` here, ``DYNAMIC`` in
@@ -67,10 +68,10 @@ RUNNING, QUIESCED, DEPLETED = Status.RUNNING, Status.QUIESCED, Status.DEPLETED
 class EnergySpec:
     """Per-activity energy costs in millijoules; see the module docstring."""
 
-    idle: int = 1
-    tx: int = 2
-    rx: int = 1
-    request_default: int = 5
+    idle: int = field(default=1, metadata={"min": 0})
+    tx: int = field(default=2, metadata={"min": 0})
+    rx: int = field(default=1, metadata={"min": 0})
+    request_default: int = field(default=5, metadata={"min": 0, "key": "request"})
     request: dict[Service, int] = field(default_factory=dict)
 
 

@@ -38,7 +38,7 @@ class ViewEntry:
 
     def spare(self, service: Service) -> int:
         """Capacity left for ``service``; the load must have been reported."""
-        return max(0, self.capacities.get(service, 0) - self.load.get(service, 0))
+        return max(0, self.capacities[service] - self.load.get(service, 0))
 
 
 @dataclass
@@ -99,7 +99,7 @@ class ReconfigPlan:
 
 
 def plan_reconfiguration(view: ClusterView, verdict: DetectionVerdict, *,
-                         staleness_max: int = 2) -> ReconfigPlan:
+                         staleness_max: int) -> ReconfigPlan:
     """Water-fill each overloaded service's excess onto the freshest peers.
 
     ``verdict`` overloads at least one service. Pure in (view, verdict):
@@ -176,7 +176,7 @@ def apply_dynamic(plan: ReconfigPlan, sim) -> list[tuple[MigrationDirective, int
 
 
 def apply_static(plan: ReconfigPlan, sim,
-                 quiesce_ticks: int = 2) -> list[tuple[MigrationDirective, int]]:
+                 quiesce_ticks: int) -> list[tuple[MigrationDirective, int]]:
     """Quiesce the involved devices and schedule their resume, then move the
     load with ``apply_dynamic``.
 

@@ -25,12 +25,20 @@ Sections are ``[services]``, ``[nodes]``, ``[edges]``, ``[energy]``,
 
 Parsing is total: any input either yields a Scenario or a ParseError
 carrying the offending line number.
+
+Every key of ``[energy]`` and ``[run]`` is optional, and the section's
+dataclass (``EnergySpec``, ``RunSettings``) is its schema: each field with a
+plain default is one key, named by its ``key`` metadata or else the field, of
+its default's type, and bounded by its ``min``, ``max`` or ``choices``
+metadata. Keys are parsed and written in field order, so of two bad keys on a
+line the earlier field's is reported; ``request.<Service>`` entries come last.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from enum import Enum
 
 from .clustering import Topology
@@ -116,16 +124,16 @@ class InjectItem:
 
 @dataclass
 class RunSettings:
-    ticks: int = 100
-    window: int = 10
-    mode: str = "dynamic"
+    ticks: int = field(default=100, metadata={"min": 1})
+    window: int = field(default=10, metadata={"min": 1})
+    mode: str = field(default="dynamic", metadata={"choices": MODE_NAMES})
     seed: int = 0
-    latency: int = 1
-    drop: float = 0.0
-    report_every: int = 1
-    quiesce_ticks: int = 2
-    staleness_max: int = 2
-    energy_tolerance: float = 0.10
+    latency: int = field(default=1, metadata={"min": 1})
+    drop: float = field(default=0.0, metadata={"min": 0.0, "max": 1.0})
+    report_every: int = field(default=1, metadata={"min": 1})
+    quiesce_ticks: int = field(default=2, metadata={"min": 0})
+    staleness_max: int = field(default=2, metadata={"min": 0})
+    energy_tolerance: float = field(default=0.10, metadata={"min": 0.0})
 
 
 @dataclass
@@ -181,7 +189,7 @@ def _int(fields: dict[str, str], key: str, lineno: int, minimum: int | None = No
     return value
 
 
-def _float(fields: dict[str, str], key: str, lineno: int, *, minimum: float = 0.0) -> float:
+def _float(fields: dict[str, str], key: str, lineno: int, minimum: float, maximum: float) -> float:
     raw = fields.pop(key)
     try:
         value = float(raw)
@@ -191,6 +199,8 @@ def _float(fields: dict[str, str], key: str, lineno: int, *, minimum: float = 0.
         raise MalformedLine(f"{key} must be finite, got {raw!r}", lineno)
     if value < minimum:
         raise NegativeValue(f"{key} must be >= {minimum}, got {value}", lineno)
+    if value > maximum:
+        raise MalformedLine(f"{key} must be <= {maximum}, got {value}", lineno)
     return value
 
 
@@ -306,16 +316,37 @@ def _parse_edge(p: _Parse, fields, lineno):
     p.scenario.edges.append((a, b) if a < b else (b, a))
 
 
+def _schema(settings) -> list[tuple[dataclasses.Field, str]]:
+    """(field, key) of each optional key of a settings section, in field
+    order; ``settings`` is the section's dataclass (see the module docstring)."""
+    return [(f, f.metadata.get("key", f.name)) for f in dataclasses.fields(settings)
+            if f.default is not MISSING]
+
+
+def _parse_settings(settings, fields, lineno) -> None:
+    """Set each key of ``settings``'s section that ``fields`` holds, in field order."""
+    for f, key in _schema(settings):
+        if key not in fields:
+            continue
+        if type(f.default) is int:
+            value = _int(fields, key, lineno, f.metadata.get("min"))
+        elif type(f.default) is float:
+            value = _float(fields, key, lineno, f.metadata["min"], f.metadata.get("max", math.inf))
+        else:
+            value, choices = fields.pop(key), f.metadata["choices"]
+            if value not in choices:
+                raise MalformedLine(f"{key} must be {' or '.join(choices)}, got {value!r}", lineno)
+        setattr(settings, f.name, value)
+
+
+def _settings_line(settings) -> str:
+    """Every key of ``settings``'s section, in field order."""
+    return " ".join(f"{key}={getattr(settings, f.name)}" for f, key in _schema(settings))
+
+
 def _parse_energy(p: _Parse, fields, lineno):
     e = p.scenario.energy
-    if "idle" in fields:
-        e.idle = _int(fields, "idle", lineno, 0)
-    if "tx" in fields:
-        e.tx = _int(fields, "tx", lineno, 0)
-    if "rx" in fields:
-        e.rx = _int(fields, "rx", lineno, 0)
-    if "request" in fields:
-        e.request_default = _int(fields, "request", lineno, 0)
+    _parse_settings(e, fields, lineno)
     for key in [k for k in fields if k.startswith("request.")]:
         svc = key[8:]
         if svc not in p.service_names:
@@ -349,32 +380,7 @@ def _item_parser(kind: str, amount_key: str, make, attr: str):
 
 
 def _parse_run(p: _Parse, fields, lineno):
-    r = p.scenario.run
-    if "ticks" in fields:
-        r.ticks = _int(fields, "ticks", lineno, 1)
-    if "window" in fields:
-        r.window = _int(fields, "window", lineno, 1)
-    if "mode" in fields:
-        mode = fields.pop("mode")
-        if mode not in MODE_NAMES:
-            raise MalformedLine(f"mode must be {' or '.join(MODE_NAMES)}, got {mode!r}", lineno)
-        r.mode = mode
-    if "seed" in fields:
-        r.seed = _int(fields, "seed", lineno)
-    if "latency" in fields:
-        r.latency = _int(fields, "latency", lineno, 1)
-    if "drop" in fields:
-        r.drop = _float(fields, "drop", lineno)
-        if r.drop > 1.0:
-            raise MalformedLine(f"drop must be <= 1.0, got {r.drop}", lineno)
-    if "report_every" in fields:
-        r.report_every = _int(fields, "report_every", lineno, 1)
-    if "quiesce_ticks" in fields:
-        r.quiesce_ticks = _int(fields, "quiesce_ticks", lineno, 0)
-    if "staleness_max" in fields:
-        r.staleness_max = _int(fields, "staleness_max", lineno, 0)
-    if "energy_tolerance" in fields:
-        r.energy_tolerance = _float(fields, "energy_tolerance", lineno)
+    _parse_settings(p.scenario.run, fields, lineno)
     _no_extras(fields, lineno)
 
 
@@ -409,10 +415,9 @@ def serialize_scenario(scenario: Scenario) -> str:
     for a, b in scenario.edges:
         out.append(f"a={a} b={b}")
     out.append("")
-    e = scenario.energy
     out.append("[energy]")
-    line = f"idle={e.idle} tx={e.tx} rx={e.rx} request={e.request_default}"
-    for svc, cost in e.request.items():
+    line = _settings_line(scenario.energy)
+    for svc, cost in scenario.energy.request.items():
         line += f" request.{svc}={cost}"
     out.append(line)
     out.append("")
@@ -424,12 +429,6 @@ def serialize_scenario(scenario: Scenario) -> str:
     for i in scenario.injections:
         out.append(f"at={i.at} node={i.node} service={i.service} load={i.load}")
     out.append("")
-    r = scenario.run
     out.append("[run]")
-    out.append(
-        f"ticks={r.ticks} window={r.window} mode={r.mode} seed={r.seed} "
-        f"latency={r.latency} drop={r.drop} report_every={r.report_every} "
-        f"quiesce_ticks={r.quiesce_ticks} staleness_max={r.staleness_max} "
-        f"energy_tolerance={r.energy_tolerance}"
-    )
+    out.append(_settings_line(scenario.run))
     return "\n".join(out) + "\n"

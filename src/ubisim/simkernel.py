@@ -563,7 +563,7 @@ class Simulation:
                     node=node,
                     service=service,
                     load_after=dev.load[service],
-                    baseline=dev.capacities.get(service, 0),
+                    baseline=dev.capacities[service],
                 )
             )
 

@@ -1,5 +1,10 @@
-"""Trust at scale: the run invariants and the per-tick billing oracle on
-large re-formation storms and on seeds 4-10 of the benchmark workloads.
+"""Trust at scale: the disjoint-union oracle on 16 copies of ``large-net``,
+and the run invariants and the per-tick billing oracle on large
+re-formation storms and on seeds 4-10 of the benchmark workloads.
+
+Seed 1 of ``large-net``, run as 16 disjoint copies (25,600 nodes), must
+match its lone run on every copy under ``test_union.union_mismatches``. It
+runs first, and its peak RSS is printed when it is done.
 
 A storm has the ``overload-storm`` shape (300 ticks, window 10, latency 2,
 drop 0.05, batteries of 3,000-9,000 mJ, injected load of 100-200% of
@@ -14,7 +19,7 @@ the per-tick kernel under ``billing_oracle.compare``. The real kernel's
 trace, ``final_energy``, ``cluster_records`` and report of each storm are
 hashed into one sha256 per storm and checked against ``STORM_DIGESTS``, so
 drift at scale shows even where both kernels drift alike. It exits non-zero
-on any failure, and prints its peak RSS last::
+on any failure, and prints the whole script's peak RSS last::
 
     PYTHONPATH=src python tests/storms.py
 """
@@ -26,8 +31,11 @@ import sys
 import traceback
 from pathlib import Path
 
+from ubisim.scenario import parse_scenario
+
 from billing_oracle import compare, print_peak_rss
 from test_invariants import assert_run_keeps_invariants
+from test_union import union_mismatches
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import scengen  # noqa: E402
@@ -72,7 +80,10 @@ def check(label, text: str, mode: str | None, digest=None) -> bool:
 
 
 def main() -> int:
-    ok = True
+    diffs = union_mismatches(parse_scenario(scengen.generate("large-net", 1)), 16)
+    print(f"large-net x 16: {diffs or 'every copy matches its lone run'}")
+    print_peak_rss()
+    ok = not diffs
     bench = [(workload, seed) for workload in sorted(scengen.WORKLOADS) for seed in range(4, 11)]
     for workload, seed in bench:
         text = scengen.generate(workload, seed)

@@ -107,7 +107,7 @@ def test_ac4_greedy_residual_equals_bruteforce_optimum():
                 for node in range(n)
             },
         )
-        plan = plan_reconfiguration(view, verdict)
+        plan = plan_reconfiguration(view, verdict, staleness_max=2)
         for s, o in verdict.overloaded.items():
             total_spare = sum(
                 max(0, caps[p][s] - loads[p][s]) for p in range(n) if p != src

@@ -252,7 +252,8 @@ class TestKnowledgeBaseIndex:
     }
 
     def _kb(self):
-        return KnowledgeBase(capacities=self.CAPACITIES, params=EnergySpec(), window=10)
+        return KnowledgeBase(capacities=self.CAPACITIES, params=EnergySpec(), window=10,
+                             energy_tolerance=0.10)
 
     def test_unknown_node_still_raises(self):
         kb = self._kb()
@@ -365,7 +366,7 @@ class TestReportAlert:
         kb = engine.kb
         sample = sample_for(TABLE_OVERLOADS, kb=kb)
         verdict = control_compare(sample, kb)
-        kind = report_alert(1, verdict, sample, sim)
+        kind = report_alert(1, verdict, sample, sim, report_every=1)
         assert kind == "alert"
         assert len(verdict.overloaded) == 5  # one alert carrying all five
         assert any(
@@ -403,11 +404,11 @@ class TestReportAlert:
         assert sim.head_of[2] == sim.head_of[1] == 1
         kb = engine.kb
         sample = sample_for({"Print": 50}, node=2, kb=kb)
-        assert report_alert(2, control_compare(sample, kb), sample, sim) == "alert"
+        assert report_alert(2, control_compare(sample, kb), sample, sim, report_every=1) == "alert"
         assert sim.log.lines[-1].split()[3:] == ["send", "to=1", "kind=alert"]
         sample = sample_for({"Print": 50}, node=1, kb=kb)
         first = len(sim.log.lines)
-        assert report_alert(1, control_compare(sample, kb), sample, sim) == "alert"
+        assert report_alert(1, control_compare(sample, kb), sample, sim, report_every=1) == "alert"
         assert sim.log.lines[first].split()[3:] == ["local", "kind=alert"]
 
     def test_head_agent_reports_locally(self):
@@ -420,7 +421,7 @@ class TestReportAlert:
         assert sample.energy_drawn == kb.window * kb.params.idle + kb.msg_budget[0]
         verdict = control_compare(sample, kb)
         sends_before = sum(1 for l in sim.log.lines if l.split()[3] == "send")
-        assert report_alert(0, verdict, sample, sim) == "report"
+        assert report_alert(0, verdict, sample, sim, report_every=1) == "report"
         sends_after = sum(1 for l in sim.log.lines if l.split()[3] == "send")
         assert sends_after == sends_before  # no radio traffic for self-reports
 

@@ -75,14 +75,14 @@ class TestPlanReconfiguration:
             0: ({"Print": 34}, {"Print": 14}),  # spare 20
             1: ({"Print": 34}, {"Print": 50}),
         })
-        plan = plan_reconfiguration(view, verdict_of(1, {"Print": (50, 34)}))
+        plan = plan_reconfiguration(view, verdict_of(1, {"Print": (50, 34)}), staleness_max=2)
         assert plan.directives == [MigrationDirective("Print", 1, 0, 16)]
         assert plan.residual == {"Print": 0}
 
     def test_no_overload_empty_plan(self):
         view = view_of({0: ({"Print": 34}, {"Print": 0})})
         verdict = DetectionVerdict(node=1, window=1, overloaded={})
-        plan = plan_reconfiguration(view, verdict)
+        plan = plan_reconfiguration(view, verdict, staleness_max=2)
         assert not plan.directives and plan.residual == {}
 
     def test_saturation_leaves_residual(self):
@@ -90,7 +90,7 @@ class TestPlanReconfiguration:
             0: ({"Print": 10}, {"Print": 0}),  # total cluster spare 10
             1: ({"Print": 34}, {"Print": 50}),
         })
-        plan = plan_reconfiguration(view, verdict_of(1, {"Print": (50, 34)}))
+        plan = plan_reconfiguration(view, verdict_of(1, {"Print": (50, 34)}), staleness_max=2)
         assert sum(d.amount for d in plan.directives) == 10
         assert plan.residual == {"Print": 6}
 
@@ -101,7 +101,7 @@ class TestPlanReconfiguration:
             2: ({"S": 40}, {"S": 30}),   # spare 10
             3: ({"S": 40}, {"S": 30}),   # spare 10, higher id
         })
-        plan = plan_reconfiguration(view, verdict_of(1, {"S": (60, 40)}))
+        plan = plan_reconfiguration(view, verdict_of(1, {"S": (60, 40)}), staleness_max=2)
         assert [(d.dest, d.amount) for d in plan.directives] == [(2, 10), (3, 10)]
 
     def test_stale_view_raises_and_defers(self):
@@ -115,7 +115,7 @@ class TestPlanReconfiguration:
 
     def test_no_peers_full_residual(self):
         view = view_of({1: ({"S": 10}, {"S": 20})})
-        plan = plan_reconfiguration(view, verdict_of(1, {"S": (20, 10)}))
+        plan = plan_reconfiguration(view, verdict_of(1, {"S": (20, 10)}), staleness_max=2)
         assert not plan.directives
         assert plan.residual == {"S": 10}
 
@@ -128,7 +128,8 @@ class TestPlanReconfiguration:
         }
         view1, view2 = view_of(caps_loads), view_of(caps_loads)
         v = verdict_of(2, {"A": (9, 1), "B": (7, 2)})
-        assert plan_reconfiguration(view1, v).directives == plan_reconfiguration(view2, v).directives
+        assert (plan_reconfiguration(view1, v, staleness_max=2).directives
+                == plan_reconfiguration(view2, v, staleness_max=2).directives)
 
     def test_greedy_matches_exhaustive_brute_force(self):
         # all (excess, spare-vector) pairs over a small exhaustive space
@@ -138,7 +139,8 @@ class TestPlanReconfiguration:
                 for i, sp in enumerate(spares):
                     caps_loads[i] = ({"S": sp}, {"S": 0})
                 view = view_of(caps_loads)
-                plan = plan_reconfiguration(view, verdict_of(9, {"S": (50 + excess, 50)}))
+                verdict = verdict_of(9, {"S": (50 + excess, 50)})
+                plan = plan_reconfiguration(view, verdict, staleness_max=2)
                 expected = brute_force_min_residual(excess, list(spares))
                 assert plan.residual["S"] == expected == max(0, excess - sum(spares))
 
@@ -154,7 +156,7 @@ class TestPlanReconfiguration:
             base = caps_loads[src][0]["S"]
             obs = base + rng.randint(1, 10)
             view = view_of(caps_loads)
-            plan = plan_reconfiguration(view, verdict_of(src, {"S": (obs, base)}))
+            plan = plan_reconfiguration(view, verdict_of(src, {"S": (obs, base)}), staleness_max=2)
             got = {}
             for d in plan.directives:
                 assert d.amount >= 1 and d.source == src and d.dest != src
@@ -183,7 +185,7 @@ class TestPlanReconfiguration:
             for base in [caps_loads[src][0][s]]
         }
         try:
-            plan = plan_reconfiguration(view, verdict_of(src, overloads))
+            plan = plan_reconfiguration(view, verdict_of(src, overloads), staleness_max=2)
         except StaleView:
             return
         for svc, (obs, base) in overloads.items():
@@ -313,6 +315,7 @@ def kb_for(node, baselines, window=10):
         capacities={node: baselines},
         params=EnergySpec(),
         window=window,
+        energy_tolerance=0.10,
         msg_budget={node: 100},
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from importlib import resources
 
@@ -137,7 +138,10 @@ def after_minimal(lines):
 # One malformed input per check in the parser, with the class, line number
 # and message each raises; several rows pin which of two problems on one
 # line is reported. Recorded from the parser as it stood before it was
-# rewritten to handle each line once. The defensive "unparseable line"
+# rewritten to handle each line once; the ``[energy]`` and ``[run]`` rows
+# that pin a non-integer value, a bad ``energy_tolerance`` or which of two
+# bad keys is reported were recorded before those sections were parsed from
+# their dataclass fields. The defensive "unparseable line"
 # branch has no row: no input reaches it, as every field is checked where it
 # is read.
 PINNED_ERRORS = [
@@ -241,6 +245,22 @@ PINNED_ERRORS = [
      UnknownService, 15, "UnknownService line 15: energy cost for undeclared service 'Fax'"),
     ('energy_service_cost_negative', after_minimal('[energy]\nrequest.Print=-1'),
      NegativeValue, 15, 'NegativeValue line 15: request.Print must be >= 0, got -1'),
+    ('energy_idle_not_int', after_minimal('[energy]\nidle=x'),
+     MalformedLine, 15, "MalformedLine line 15: idle must be an integer, got 'x'"),
+    ('energy_rx_not_int', after_minimal('[energy]\nrx=x'),
+     MalformedLine, 15, "MalformedLine line 15: rx must be an integer, got 'x'"),
+    ('energy_request_not_int', after_minimal('[energy]\nrequest=x'),
+     MalformedLine, 15, "MalformedLine line 15: request must be an integer, got 'x'"),
+    ('energy_service_cost_not_int', after_minimal('[energy]\nrequest.Print=x'),
+     MalformedLine, 15, "MalformedLine line 15: request.Print must be an integer, got 'x'"),
+    ('energy_idle_beats_tx', after_minimal('[energy]\nidle=-1 tx=x'),
+     NegativeValue, 15, 'NegativeValue line 15: idle must be >= 0, got -1'),
+    ('energy_request_beats_service_cost', after_minimal('[energy]\nrequest.Print=-1 request=x'),
+     MalformedLine, 15, "MalformedLine line 15: request must be an integer, got 'x'"),
+    ('energy_service_cost_beats_unknown_field', after_minimal('[energy]\nwatts=3 request.Print=x'),
+     MalformedLine, 15, "MalformedLine line 15: request.Print must be an integer, got 'x'"),
+    ('energy_field_name_is_not_a_key', after_minimal('[energy]\nrequest_default=5'),
+     MalformedLine, 15, "MalformedLine line 15: unknown field 'request_default'"),
     ('energy_unknown_field', after_minimal('[energy]\nidle=1 watts=3'),
      MalformedLine, 15, "MalformedLine line 15: unknown field 'watts'"),
     ('workload_missing_at', after_minimal('[workload]\nnode=0 service=Print n=1'),
@@ -313,6 +333,26 @@ PINNED_ERRORS = [
      NegativeValue, 15, 'NegativeValue line 15: energy_tolerance must be >= 0.0, got -0.1'),
     ('run_energy_tolerance_infinite', after_minimal('[run]\nenergy_tolerance=inf'),
      MalformedLine, 15, "MalformedLine line 15: energy_tolerance must be finite, got 'inf'"),
+    ('run_ticks_not_int', after_minimal('[run]\nticks=x'),
+     MalformedLine, 15, "MalformedLine line 15: ticks must be an integer, got 'x'"),
+    ('run_latency_not_int', after_minimal('[run]\nlatency=1.5'),
+     MalformedLine, 15, "MalformedLine line 15: latency must be an integer, got '1.5'"),
+    ('run_report_every_not_int', after_minimal('[run]\nreport_every=x'),
+     MalformedLine, 15, "MalformedLine line 15: report_every must be an integer, got 'x'"),
+    ('run_quiesce_ticks_not_int', after_minimal('[run]\nquiesce_ticks=x'),
+     MalformedLine, 15, "MalformedLine line 15: quiesce_ticks must be an integer, got 'x'"),
+    ('run_staleness_max_not_int', after_minimal('[run]\nstaleness_max=x'),
+     MalformedLine, 15, "MalformedLine line 15: staleness_max must be an integer, got 'x'"),
+    ('run_energy_tolerance_not_number', after_minimal('[run]\nenergy_tolerance=x'),
+     MalformedLine, 15, "MalformedLine line 15: energy_tolerance must be a number, got 'x'"),
+    ('run_drop_beats_report_every', after_minimal('[run]\ndrop=1.5 report_every=0'),
+     MalformedLine, 15, 'MalformedLine line 15: drop must be <= 1.0, got 1.5'),
+    ('run_drop_beats_report_every_in_field_order', after_minimal('[run]\nreport_every=0 drop=1.5'),
+     MalformedLine, 15, 'MalformedLine line 15: drop must be <= 1.0, got 1.5'),
+    ('run_mode_beats_seed', after_minimal('[run]\nseed=x mode=x'),
+     MalformedLine, 15, "MalformedLine line 15: mode must be dynamic or static, got 'x'"),
+    ('run_ticks_beats_energy_tolerance', after_minimal('[run]\nenergy_tolerance=x ticks=0'),
+     NegativeValue, 15, 'NegativeValue line 15: ticks must be >= 1, got 0'),
     ('run_unknown_field', after_minimal('[run]\nticks=20 speed=2'),
      MalformedLine, 15, "MalformedLine line 15: unknown field 'speed'"),
     ('run_bad_mode_beats_unknown_field', after_minimal('[run]\nspeed=2 mode=x'),
@@ -367,6 +407,27 @@ PARSED_DIGESTS = {
 RANDOM_PARSED_DIGEST = "0dd2081bd932ed6627fe4db9337bf8cce310d73faa040bbd8cba51cb66084d6b"
 
 
+# sha256 of ``serialize_scenario(parse_scenario(text))`` for each bundled
+# scenario, and of the serialized texts of seeds 0..99 of
+# ``random_scenario_text`` concatenated in seed order; recorded from the
+# serializer as it stood before the optional keys of ``[energy]`` and
+# ``[run]`` were written from their dataclass fields
+SERIALIZED_DIGESTS = {
+    "fig3_family/feasible_print.scn": "893ee24e365c4644d1b735b2932797888d98180bd9e6c4381e835fb3094514b4",
+    "fig3_family/feasible_scan.scn": "8fef3b4fb538968b51b3fa826d0720c4e177ddcd6cc449d5d2efc33aa3f919ac",
+    "fig3_family/feasible_sendemail.scn": "8957ea4b7c20ec6de353e44f69eada81d9a7b92809bb6b7096701987cf6cb9b8",
+    "fig3_family/feasible_updatebdd.scn": "6022641ad1459d969a48c7fe63b7d058ce95b193cd86d05bc7ace92ccce9e881",
+    "fig3_family/feasible_view.scn": "8a24e8b90b6ab196d319bad3fdb8f4c776585469bb0a997e0955bd402de1971f",
+    "fig3_family/saturated_print.scn": "9a324a4fca4874e91fcedebb1432f311f78f98b532ca6e4860340308f7c7bdf8",
+    "fig3_family/saturated_scan.scn": "2a30a9a120055a14f8b703fd6f558cdd0afab4a42880682425653d743c3506a3",
+    "fig3_family/saturated_sendemail.scn": "b7e8ff14cc648b7bbc7bed97f0e52208b08929f941547e2af35b51b5219bc398",
+    "fig3_family/saturated_updatebdd.scn": "6b3f29c70814dbf49e95eae443942b4801489024938a9a49b16e37f5598774e0",
+    "fig3_family/saturated_view.scn": "5ae3d975d34353fbbf562cd42e02f70431de4fdd62cc93f43cefd8723086d382",
+    "table3.scn": "79f04f60873e6eb404e2da8d6b5864847d833674191e4eb0a123def93898388a",
+}
+RANDOM_SERIALIZED_DIGEST = "f6e454dfbae308fad2621988a668d3a9f3ffb65aa982037228591c4c4011b980"
+
+
 class TestPinnedScenarios:
     def test_every_bundled_scenario_is_pinned(self):
         root = resources.files("ubisim.scenarios")
@@ -387,6 +448,17 @@ class TestPinnedScenarios:
             h.update(repr(parse_scenario(random_scenario_text(seed))).encode())
         assert h.hexdigest() == RANDOM_PARSED_DIGEST
 
+    @pytest.mark.parametrize("name", sorted(SERIALIZED_DIGESTS))
+    def test_bundled_scenario_serializes_as_before(self, name):
+        text = serialize_scenario(parse_scenario(bundled_scenario_text(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_DIGESTS[name]
+
+    def test_random_scenarios_serialize_as_before(self):
+        h = hashlib.sha256()
+        for seed in range(100):
+            h.update(serialize_scenario(parse_scenario(random_scenario_text(seed))).encode())
+        assert h.hexdigest() == RANDOM_SERIALIZED_DIGEST
+
 
 class TestRoundTrip:
     def test_bundled_round_trips(self):
@@ -398,6 +470,34 @@ class TestRoundTrip:
     def test_random_scenarios_round_trip(self, seed):
         scenario = parse_scenario(random_scenario_text(seed))
         assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    # a valid value other than the default for every field of the two
+    # settings sections, keyed by (``Scenario`` attribute, field name)
+    NON_DEFAULT = {
+        ("run", "ticks"): 50, ("run", "window"): 5, ("run", "mode"): "static",
+        ("run", "seed"): -3, ("run", "latency"): 3, ("run", "drop"): 0.25,
+        ("run", "report_every"): 3, ("run", "quiesce_ticks"): 0,
+        ("run", "staleness_max"): 0, ("run", "energy_tolerance"): 0.15,
+        ("energy", "idle"): 0, ("energy", "tx"): 7, ("energy", "rx"): 0,
+        ("energy", "request_default"): 9, ("energy", "request"): {"Print": 4},
+    }
+
+    def test_every_settings_field_has_a_non_default_value(self):
+        scenario = Scenario()
+        assert set(self.NON_DEFAULT) == {
+            (section, f.name) for section in ("run", "energy")
+            for f in dataclasses.fields(getattr(scenario, section))
+        }
+        for (section, name), value in self.NON_DEFAULT.items():
+            assert getattr(getattr(scenario, section), name) != value
+
+    @pytest.mark.parametrize("section, name", sorted(NON_DEFAULT))
+    def test_each_settings_field_round_trips(self, section, name):
+        scenario = parse_scenario(MINIMAL)
+        setattr(getattr(scenario, section), name, self.NON_DEFAULT[section, name])
+        again = parse_scenario(serialize_scenario(scenario))
+        assert getattr(getattr(again, section), name) == self.NON_DEFAULT[section, name]
+        assert again == scenario
 
     def test_comments_and_blanks_ignored(self):
         commented = "\n".join(
