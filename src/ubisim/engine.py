@@ -1,18 +1,20 @@
 """Run orchestration: build a simulation from a scenario, drive the
 agent/controller protocol, and emit the output artifacts.
 
-Per window each live agent samples its host, compares against the knowledge
-base, and reports (alerting on any overload) to the head the kernel's routing
-table, ``Simulation.head_of``, names; the engine keeps no copy of it. A live
-head's members are recorded only in its controller's view. When a head
-depletes, its running members are re-clustered at once, so the table names a
-live head for every live node. The controller path relies on that: a report,
-an alert or a depletion finds its head's controller and its node's view entry
-by lookup alone, so a broken route raises where it is met instead of dropping
-the message. Alerts reach the cluster-head controller one latency tick later.
-An agent alerts at most once a window, so the controller plans at most one
-reconfiguration per alerting node per window; it applies it in the configured
-mode, and the episode is judged against the node's next-window sample.
+Per window each live agent samples its host, reading the draw and served
+sample that the window-end bill archived in the ``RunLog``, compares against
+the knowledge base, and reports (alerting on any overload) to the head the
+kernel's routing table, ``Simulation.head_of``, names; the engine keeps no
+copy of it. A live head's members are recorded only in its controller's view.
+When a head depletes, its running members are re-clustered at once, so the
+table names a live head for every live node. The controller path relies on
+that: a report, an alert or a depletion finds its head's controller and its
+node's view entry by lookup alone, so a broken route raises where it is met
+instead of dropping the message. Alerts reach the cluster-head controller one
+latency tick later. An agent alerts at most once a window, so the controller
+plans at most one reconfiguration per alerting node per window; it applies it
+in the configured mode, and the episode is judged against the node's
+next-window sample.
 
 ``Engine.__init__`` installs the engine's bound methods as the kernel's
 protocol hooks, so the engine and its Simulation refer to each other.
@@ -165,7 +167,8 @@ class Engine:
 
     def _on_boundary(self, window: int) -> None:
         sim, kb = self.sim, self.kb
-        devices, served, drawn = sim.devices, sim.served_snapshot, sim.window_acc
+        devices = sim.devices
+        served, drawn = sim.log.window_served, sim.log.window_energy
         record = sim.log.verdicts.append
         samples = {}
         verdicts = {}
@@ -174,7 +177,7 @@ class Engine:
         for host in sorted(self.agents):
             if devices[host].status is DEPLETED:
                 continue
-            sample = collect(host, window, served[host], drawn[host])
+            sample = collect(host, window, served[host][window], drawn[host][window])
             verdict = control_compare(sample, kb)
             samples[host] = sample
             verdicts[host] = verdict

@@ -96,7 +96,8 @@ class DeviceState:
     """A node's identity, links, battery, capacities, and current load.
 
     ``load`` holds the requests currently assigned for the window in
-    progress.
+    progress. Its keys are the capacity keys, set here in capacity order
+    and never deleted, so every load read indexes it directly.
     """
 
     id: int
@@ -134,7 +135,7 @@ def apply_requests(device: DeviceState, service: Service, n: int) -> None:
         )
     if service not in device.capacities:
         raise UnknownService(f"node {device.id} does not offer service {service!r}")
-    device.load[service] = device.load.get(service, 0) + n
+    device.load[service] += n
 
 
 def consume_energy(device: DeviceState, activity: Activity, params: EnergySpec) -> int:

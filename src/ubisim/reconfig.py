@@ -38,7 +38,7 @@ class ViewEntry:
 
     def spare(self, service: Service) -> int:
         """Capacity left for ``service``; the load must have been reported."""
-        return max(0, self.capacities[service] - self.load.get(service, 0))
+        return max(0, self.capacities[service] - self.load[service])
 
 
 @dataclass
@@ -66,7 +66,7 @@ class ClusterView:
         """
         for node, delta in ((source, -amount), (dest, amount)):
             entry = self.entries[node]
-            entry.load = {**entry.load, service: entry.load.get(service, 0) + delta}
+            entry.load = {**entry.load, service: entry.load[service] + delta}
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +139,10 @@ def _execute(directive: MigrationDirective, sim) -> int:
     """Move the directive's load between the two devices; returns the amount moved."""
     src = sim.devices[directive.source]
     dst = sim.devices[directive.dest]
-    amount = min(directive.amount, src.load.get(directive.service, 0))
+    amount = min(directive.amount, src.load[directive.service])
     if amount:
         src.load[directive.service] -= amount
-        dst.load[directive.service] = dst.load.get(directive.service, 0) + amount
+        dst.load[directive.service] += amount
     sim.emit(
         sim.clock, directive.source, "migrate",
         f"service={directive.service} to={directive.dest} amount={amount}",

@@ -26,8 +26,9 @@ The kernel never mutates a payload, so one ``Scenario`` can be run twice.
 Energy accounting is event-driven. Every device records the last tick it
 was billed through, and is billed at the last tick of every measurement
 window (where each running device also pays for serving its current load,
-which is recorded as the window's served sample) and at the tick its idle
-draw alone empties its battery. Set-up and each bill start a live device's
+and each node's draw over the window and its served sample are archived in
+the ``RunLog`` right after its bill) and at the tick its idle draw alone
+empties its battery. Set-up and each bill start a live device's
 margin: its charge less the idle draw through the tick before its next
 window end (or the horizon) less 1 mJ; a negative one queues that idle
 depletion. A message's tx or rx cost is owed, spent from the margin, and
@@ -159,13 +160,15 @@ class RunLog:
     the typed lists mirror the protocol-level happenings for the metrics
     module. Serialization is deterministic, so equal logs mean equal runs.
 
-    ``window_served[node][window]`` is that node-window's served sample,
-    which the agent's sample and report, the controller's view and the
-    window-end bill share and none of them mutates in place. A sample equal
-    to the node's last archived one is that dict again, and every depleted
-    node-window holds ``NOTHING_SERVED``. Equal samples of one device
-    iterate alike: their keys are its ``load`` keys, set once in capacity
-    order and never deleted.
+    ``window_energy[node][window]`` and ``window_served[node][window]`` are
+    that node-window's draw and served sample. The bill at the window's last
+    tick writes both, right after it bills the node, and the engine's agents
+    read them here at the window's boundary. The served sample is shared by
+    the agent's sample and report, the controller's view and the bill, and
+    none of them mutates it in place. A sample equal to the node's last
+    archived one is that dict again, and every depleted node-window holds
+    ``NOTHING_SERVED``. Equal samples of one device iterate alike: their keys
+    are its ``load`` keys, set once in capacity order and never deleted.
     ``verdicts`` holds each compared node-window's ``DetectionVerdict``
     itself, the object the agent reported, in boundary and host order.
     """
@@ -254,8 +257,7 @@ class Simulation:
         self._flushed_through = -1
         self._cursor: Optional[int] = None  # node being billed mid-tick
         self._start_margins(self._ids, -1)
-        self.window_acc: dict[int, int] = dict.fromkeys(self._ids, 0)
-        self.served_snapshot: dict[int, dict[Service, int]] = {}
+        self._drawn: dict[int, int] = dict.fromkeys(self._ids, 0)  # debited this window
         self.log.initial_energy = {d.id: d.energy_mj for d in devices}
         for d in devices:
             self.log.window_energy[d.id] = []
@@ -436,7 +438,7 @@ class Simulation:
         debit = consume_energy(dev, act, self.params)
         billed[nid] = tick
         self.log.total_debited += debit
-        self.window_acc[nid] += debit
+        self._drawn[nid] += debit
 
     def _flush_through(self, t: int) -> None:
         """Settle every tick up to ``t`` (bounded by horizon).
@@ -478,8 +480,11 @@ class Simulation:
                     heapq.heappush(depletions, (tick - (-dev.energy_mj // idle), nid))
 
     def _bill_tick(self, tt: int) -> None:
-        """Bill, in id order, every device that must be billed at ``tt``; at a
-        window's last tick, keep each live device's served sample (see ``RunLog``)."""
+        """Bill, in id order, every device that must be billed at ``tt``. At a
+        window's last tick that is every node, each archived right after its
+        bill (see ``RunLog``): nothing debits it from then to the boundary,
+        which owes only radio, and a re-formation a depletion starts here
+        settles the higher-id members before their own bill."""
         self._flushed_through = tt - 1
         depletions = self._depletions
         due = set()
@@ -487,31 +492,37 @@ class Simulation:
             due.add(heapq.heappop(depletions)[1])
         window_last = (tt + 1) % self.window == 0
         billed = self._ids if window_last else sorted(due)
-        devices, owed, served, bill = self.devices, self._owed, self.served_snapshot, self._bill
-        archive = self.log.window_served
+        devices, owed, drawn, bill = self.devices, self._owed, self._drawn, self._bill
+        window_energy, window_served = self.log.window_energy, self.log.window_served
         for nid in billed:
             dev = devices[nid]
             status = dev.status
-            if status is DEPLETED:
-                continue
-            tx, rx, _left = owed[nid]
-            if window_last and status is RUNNING:
-                kept, load = archive[nid], dev.load
-                served[nid] = sample = kept[-1] if kept and kept[-1] == load else dict(load)
-                act = Activity(sample, tx, rx)
-            else:
-                act = Activity({}, tx, rx)
-                if window_last:  # quiesced devices serve nothing
-                    kept, sample = archive[nid], dict.fromkeys(dev.load, 0)
-                    served[nid] = kept[-1] if kept and kept[-1] == sample else sample
-            self._cursor = nid
-            bill(dev, act, tt)
-            if dev.status is DEPLETED:
-                del owed[nid]
-                self.emit(tt, nid, "depleted", "")
-                self.on_depleted(nid)
+            sample = NOTHING_SERVED
+            if status is not DEPLETED:
+                tx, rx, _left = owed[nid]
+                if window_last and status is RUNNING:
+                    kept, load = window_served[nid], dev.load
+                    sample = kept[-1] if kept and kept[-1] == load else dict(load)
+                    act = Activity(sample, tx, rx)
+                else:
+                    act = Activity({}, tx, rx)
+                    if window_last:  # quiesced devices serve nothing
+                        kept, zero = window_served[nid], dict.fromkeys(dev.load, 0)
+                        sample = kept[-1] if kept and kept[-1] == zero else zero
+                self._cursor = nid
+                bill(dev, act, tt)
+                if dev.status is DEPLETED:
+                    del owed[nid]
+                    self.emit(tt, nid, "depleted", "")
+                    self.on_depleted(nid)
+            if window_last:
+                window_energy[nid].append(drawn[nid])
+                drawn[nid] = 0
+                window_served[nid].append(sample)
         self._cursor = None
         self._flushed_through = tt
+        if window_last:
+            self.log.windows_completed = (tt + 1) // self.window
         self._start_margins(billed, tt)
 
     # -- dispatch --
@@ -539,7 +550,6 @@ class Simulation:
         elif isinstance(p, WindowBoundary):
             self._write(f"{time} {seq} {KERNEL} boundary window={p.window}")
             self.on_boundary(p.window)
-            self._close_window(p.window)
         elif isinstance(p, Resume):
             self._write(f"{time} {seq} {p.node} resume")
             dev = self.devices[p.node]
@@ -566,20 +576,3 @@ class Simulation:
                     baseline=dev.capacities[service],
                 )
             )
-
-    def _close_window(self, window: int) -> None:
-        """Archive the window's energy and served samples; reset the accumulators.
-
-        Each served sample is archived as the object ``_bill_tick`` kept, not
-        a copy, and a node it skipped as depleted archives ``NOTHING_SERVED``;
-        nothing mutates either afterwards. Device loads carry over to the
-        next window as they stand.
-        """
-        window_energy, window_served = self.log.window_energy, self.log.window_served
-        drawn, served = self.window_acc, self.served_snapshot
-        for nid in self._ids:
-            window_energy[nid].append(drawn[nid])
-            window_served[nid].append(served.get(nid, NOTHING_SERVED))
-        self.window_acc = dict.fromkeys(self._ids, 0)
-        self.served_snapshot = {}
-        self.log.windows_completed = window + 1

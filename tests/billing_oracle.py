@@ -37,7 +37,7 @@ from ubisim.engine import Engine
 from ubisim.metrics import build_report
 from ubisim.model import Activity, Status, consume_energy
 from ubisim.scenario import parse_scenario
-from ubisim.simkernel import Simulation
+from ubisim.simkernel import NOTHING_SERVED, Simulation
 
 from test_invariants import hostile_scenario_text
 
@@ -49,13 +49,16 @@ HOSTILE_DIGEST = "93682653cc2a7f5046460de8d960389bed558e91b2c3f0ec6ae62a3b158812
 class PerTickSimulation(Simulation):
     """The kernel with per-tick billing; ``charge[node, tick]`` is a live
     device's charge after its bill for that tick, kept only for the
-    (node, tick) pairs of ``keep``."""
+    (node, tick) pairs of ``keep``. It archives each node-window itself, at
+    the node's bill on the window's last tick: ``drawn`` is what each node
+    has been debited since its last archive."""
 
     def __init__(self, *args, keep, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._radio: dict[int, dict[int, list[int]]] = {}  # tick -> node -> [tx, rx]
         self._keep = keep
         self.charge: dict[tuple[int, int], int] = {}
+        self.drawn = dict.fromkeys(self.devices, 0)
 
     def _owe(self, node: int, tx: int, rx: int) -> None:
         if self.clock < self.horizon:
@@ -72,26 +75,33 @@ class PerTickSimulation(Simulation):
             tt = self._flushed_through + 1
             radio = self._radio.pop(tt, {})
             window_last = (tt + 1) % self.window == 0
+            log = self.log
             for nid in self._ids:
                 dev = self.devices[nid]
-                if dev.status is Status.DEPLETED:
-                    continue
-                tx, rx = radio.get(nid, (0, 0))
-                if window_last and dev.status is Status.RUNNING:
-                    act = Activity(dict(dev.load), tx, rx)
-                    self.served_snapshot[nid] = act.requests_served
-                else:
-                    act = Activity(msgs_tx=tx, msgs_rx=rx)
-                    if window_last:  # quiesced devices serve nothing
-                        self.served_snapshot[nid] = dict.fromkeys(dev.load, 0)
-                debit = consume_energy(dev, act, self.params)
-                self.log.total_debited += debit
-                self.window_acc[nid] += debit
-                if (nid, tt) in self._keep:
-                    self.charge[nid, tt] = dev.energy_mj
-                if dev.status is Status.DEPLETED:
-                    self.emit(tt, nid, "depleted", "")
-                    self.on_depleted(nid)
+                served = NOTHING_SERVED
+                if dev.status is not Status.DEPLETED:
+                    tx, rx = radio.get(nid, (0, 0))
+                    if window_last and dev.status is Status.RUNNING:
+                        served = dict(dev.load)
+                        act = Activity(served, tx, rx)
+                    else:
+                        act = Activity(msgs_tx=tx, msgs_rx=rx)
+                        if window_last:  # quiesced devices serve nothing
+                            served = dict.fromkeys(dev.load, 0)
+                    debit = consume_energy(dev, act, self.params)
+                    log.total_debited += debit
+                    self.drawn[nid] += debit
+                    if (nid, tt) in self._keep:
+                        self.charge[nid, tt] = dev.energy_mj
+                    if dev.status is Status.DEPLETED:
+                        self.emit(tt, nid, "depleted", "")
+                        self.on_depleted(nid)
+                if window_last:
+                    log.window_energy[nid].append(self.drawn[nid])
+                    self.drawn[nid] = 0
+                    log.window_served[nid].append(served)
+            if window_last:
+                log.windows_completed = (tt + 1) // self.window
             self._flushed_through = tt
 
 

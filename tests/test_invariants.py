@@ -22,7 +22,9 @@ has those keys in that order or is the one ``NOTHING_SERVED``; every run
 checks both.
 There too, an episode that moved nothing keeps its before totals and Jain
 indices as its after ones, and every live controller's view holds its
-cluster's nodes in id order.
+cluster's nodes in id order. Every run also has one archived draw and
+served sample per node and completed window, and each node's draws add up
+to what it consumed (to at most that, when the horizon ends mid-window).
 """
 
 import random
@@ -188,6 +190,22 @@ def assert_samples_keep_key_order(engine, log):
             assert sample is NOTHING_SERVED or list(sample) == keys, (nid, window)
 
 
+def assert_each_window_archived_once(log, run):
+    """Each node has one draw and one served sample for each completed
+    window, and its draws add up to what it consumed: all of it when the
+    horizon ends a window, and at most all of it otherwise, since the bills
+    of a last, partial window go to no archive."""
+    assert log.windows_completed == run.ticks // run.window
+    for nid, initial in log.initial_energy.items():
+        draws = log.window_energy[nid]
+        assert len(draws) == len(log.window_served[nid]) == log.windows_completed, nid
+        consumed = initial - log.final_energy[nid]
+        if run.ticks % run.window == 0:
+            assert sum(draws) == consumed, nid
+        else:
+            assert sum(draws) <= consumed, nid
+
+
 def assert_correction_bookkeeping(engine, log):
     """Episodes' books and the controllers' views are consistent.
 
@@ -217,10 +235,10 @@ def assert_correction_bookkeeping(engine, log):
 def assert_run_keeps_invariants(text, mode=None):
     """Run scenario ``text`` (in ``mode``, if given) and check every run
     invariant: the energy ledger, load conservation in dynamic plans,
-    non-negative demand, the served samples' key order, the correction books
-    and controller views, the message count, no stray head at any boundary,
-    and no depleted node installed again as the head of anything but its own
-    singleton."""
+    non-negative demand, the served samples' key order, one archived record
+    per node-window, the correction books and controller views, the message
+    count, no stray head at any boundary, and no depleted node installed
+    again as the head of anything but its own singleton."""
     scenario = parse_scenario(text)
     if mode is not None:
         scenario.run.mode = mode
@@ -239,9 +257,10 @@ def assert_run_keeps_invariants(text, mode=None):
     assert all(v >= 0 for dev in sim.devices.values() for v in dev.load.values())
     assert_overloads_match_served(log)
     assert_samples_keep_key_order(engine, log)
+    run = scenario.run
+    assert_each_window_archived_once(log, run)
     assert_correction_bookkeeping(engine, log)
 
-    run = scenario.run
     queued = in_flight(log, run.latency, run.ticks)
     assert radio["tx"] == radio["rx"] + log.drops + log.dead_letters + queued
 

@@ -335,8 +335,14 @@ def test_window_boundary_resets_and_reseeds():
     sim.schedule(10, WindowBoundary(0))
     sim.schedule(3, WorkloadItem(3, 1, "Print", 4))
     sim.run_until(20)
-    # served snapshot archived; the load, which is the standing demand, carries over
-    assert sim.log.window_served[1] == [{"Print": 4}]
+    # the window-end bill archives every window it closes, window 1 too, whose
+    # boundary is not scheduled; each window's draw starts again from zero,
+    # and the load, which is the standing demand, carries over
+    log = sim.log
+    assert log.windows_completed == 2
+    assert log.window_served[1] == [{"Print": 4}, {"Print": 4}]
+    assert log.window_energy[1][0] == log.window_energy[1][1] > 0
+    assert sum(log.window_energy[1]) == log.initial_energy[1] - log.final_energy[1]
     assert sim.devices[1].load == {"Print": 4}
 
 
